@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "core/chain.h"
 #include "core/correlate.h"
 #include "core/ctqo_analyzer.h"
 #include "core/experiment.h"
@@ -203,18 +202,6 @@ inline const obs::IncidentSummary* incidents_for_manifest(
 // fixed seed. With --incidents, fired incidents ride along into both
 // (markers/table in the dashboard, the "incidents" manifest block).
 inline void maybe_dashboard(core::NTierSystem& sys, const BenchFlags& flags) {
-  if (flags.dashboard_dir.empty()) return;
-  const auto ctqo = core::analyze_ctqo(sys);
-  const auto corr = core::correlate(sys);
-  obs::IncidentSummary inc;
-  const std::string path = report::write_dashboard(sys, ctqo, corr, flags.dashboard_dir,
-                                                   sys.config().name, sys.obs());
-  core::write_manifest(sys, flags.dashboard_dir, &ctqo,
-                       incidents_for_manifest(sys.obs(), inc));
-  std::printf("wrote %s (%s)\n", path.c_str(), core::to_string(corr.propagation));
-}
-
-inline void maybe_dashboard(core::ChainSystem& sys, const BenchFlags& flags) {
   if (flags.dashboard_dir.empty()) return;
   const auto ctqo = core::analyze_ctqo(sys);
   const auto corr = core::correlate(sys);

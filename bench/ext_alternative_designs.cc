@@ -12,69 +12,51 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/chain.h"
 #include "core/experiment.h"
 #include "core/scenarios.h"
+#include "graph/graph_system.h"
+#include "graph/topology.h"
 #include "metrics/table.h"
 #include "server/sync_server.h"
 
 using namespace ntier;
 using sim::Duration;
-using sim::Time;
 
 namespace {
 
-enum class Style { kSync, kStaged, kAsync };
-
-core::ChainConfig chain_of(Style style) {
-  core::ChainConfig cfg;
-  cfg.name = style == Style::kSync    ? "alt-sync"
-             : style == Style::kStaged ? "alt-staged"
-                                       : "alt-async";
-  auto tier = [&](std::string name, std::size_t threads, auto fn) {
-    core::ChainTierSpec t;
-    t.name = std::move(name);
-    t.async = style == Style::kAsync;
-    t.staged = style == Style::kStaged;
-    t.sync.threads_per_process = threads;
-    t.sync.max_processes = 1;
-    t.staged_cfg.ingress.queue_cap = 1000;
-    t.program_fn = fn;
-    return t;
-  };
-  cfg.tiers.push_back(tier("web", 150, core::relay_fn(Duration::micros(60),
-                                                      Duration::micros(40))));
-  cfg.tiers.push_back(tier("app", 150, core::relay_fn(Duration::micros(150),
-                                                      Duration::micros(600))));
-  cfg.tiers.push_back(tier("db", 100, core::leaf_fn(Duration::micros(400))));
-  cfg.workload.sessions = 7000;
-  cfg.duration = Duration::seconds(40);
-  cfg.freeze_tier = 1;
-  cfg.freeze.first = Time::from_seconds(8);
-  cfg.freeze.period = Duration::seconds(12);
-  // Long enough (~1.5 s x ~1000 req/s) to overflow the staged tier's
+// The same 3-tier chain built from one server kind ("sync", "staged",
+// or "async"); staged tiers keep the default 1000-slot stage queues.
+graph::GraphConfig chain_of(const std::string& kind) {
+  // The 1.5 s freeze (~1000 req/s) overflows the staged tier's
   // 1000-slot stage queue too, exposing the full bound gradient.
-  cfg.freeze.pause = Duration::millis(1500);
-  return cfg;
+  return graph::parse_topology(
+      "graph alt-" + kind + "\n"
+      "sessions 7000\n"
+      "duration 40s\n"
+      "node web kind=" + kind + " work=cpu:60us,down,cpu:40us\n"
+      "node app kind=" + kind + " work=cpu:150us,down,cpu:600us\n"
+      "node db  kind=" + kind + " threads=100 work=cpu:400us\n"
+      "edge web app\n"
+      "edge app db\n"
+      "freeze app first=8s period=12s pause=1500ms\n");
 }
 
 void part_a(const bench::BenchFlags& tf, bench::BenchPerf& perf) {
   std::puts("(A) sync vs SEDA-staged vs async under the same app millibottleneck");
   metrics::Table t({"architecture", "admission_bound", "drops", "vlrt", "p99.9_ms"});
-  for (auto [style, name] : {std::pair{Style::kSync, "thread-per-request"},
-                             std::pair{Style::kStaged, "SEDA staged (q=1000)"},
-                             std::pair{Style::kAsync, "event-driven"}}) {
-    auto ccfg = chain_of(style);
-    ccfg.obs = tf.obs;
-    core::ChainSystem sys(std::move(ccfg));
-    sys.run();
-    t.add_row({name, metrics::Table::num(std::uint64_t{sys.tier(0)->max_sys_q_depth()}),
-               metrics::Table::num(sys.total_drops()),
-               metrics::Table::num(sys.latency().vlrt_count()),
-               metrics::Table::num(sys.latency().histogram().percentile(99.9).to_millis(), 0)});
-    bench::finalize_incidents(sys);
-    bench::maybe_dashboard(sys, tf);
-    perf.add_events(sys.simulation().events_executed());
+  for (auto [kind, name] : {std::pair{"sync", "thread-per-request"},
+                            std::pair{"staged", "SEDA staged (q=1000)"},
+                            std::pair{"async", "event-driven"}}) {
+    auto cfg = chain_of(kind);
+    cfg.obs = tf.obs;
+    auto sys = graph::run_graph(cfg);
+    t.add_row({name, metrics::Table::num(std::uint64_t{sys->server(0)->max_sys_q_depth()}),
+               metrics::Table::num(sys->total_drops()),
+               metrics::Table::num(sys->latency().vlrt_count()),
+               metrics::Table::num(sys->latency().histogram().percentile(99.9).to_millis(), 0)});
+    bench::finalize_incidents(*sys);
+    bench::maybe_dashboard(*sys, tf);
+    perf.add_events(sys->simulation().events_executed());
   }
   std::puts(t.to_string().c_str());
   std::puts(

@@ -6,10 +6,8 @@
 // the cascade. The all-async chain absorbs the burst at every depth.
 //
 // The chains are built as graph-engine configs (src/graph): each one is
-// chain-shaped, so GraphSystem wires it through the ChainSystem-
-// identical fast path and every number below is byte-identical to the
-// pre-graph ChainSystem build (the chain-equivalence contract,
-// docs/TOPOLOGY.md).
+// chain-shaped, so GraphSystem wires it with connect_downstream front to
+// back (the chain wiring path, docs/TOPOLOGY.md).
 #include <cstdio>
 
 #include "bench_util.h"

@@ -1,6 +1,6 @@
 // Extension study: CTQO beyond the chain — service-graph topologies.
 //
-// Four sections, all instances of the declarative graph engine
+// Three sections, all instances of the declarative graph engine
 // (src/graph, docs/TOPOLOGY.md):
 //   1. diamond DAG: a front fans out to two mid services in parallel,
 //      both share one database. A leaf millibottleneck overflows the
@@ -9,17 +9,13 @@
 //      generalizes to fan-out/fan-in graphs.
 //   2. deep chain: the same 6-deep chain as ext_deep_chain, but written
 //      in the topology grammar; is_chain() routes it through the
-//      ChainSystem-identical wiring path.
+//      connect_downstream chain wiring.
 //   3. hedging crossover on a replicated group: three replicas behind a
 //      power-of-two-choices balancer, one replica periodically frozen.
 //      At low load a hedged duplicate (which re-picks the replica)
 //      sidesteps the frozen copy and cuts p99; near saturation the
 //      duplicates are pure extra load and hedging *raises* the tail —
 //      the helps-then-hurts crossover of Poloczek & Ciucu (PAPERS.md).
-//   4. chain equivalence: the paper's 3-tier chain expressed as a graph
-//      config, fingerprinted against the ChainSystem run of the same
-//      spec — byte-identical registries or the bench fails. With
-//      --sweep-out=DIR both fingerprints are written for the CI cmp.
 //
 // Output includes machine-readable "[graph] ..." lines collected by
 // scripts/run_benches.py into BENCH_ntier.json (schema ntier.bench/5).
@@ -27,40 +23,14 @@
 #include <string>
 
 #include "bench_util.h"
-#include "core/chain.h"
 #include "graph/graph_system.h"
 #include "graph/topology.h"
-#include "metrics/csv.h"
 #include "metrics/table.h"
 
 using namespace ntier;
 using sim::Duration;
-using sim::Time;
 
 namespace {
-
-// Deterministic run fingerprint shared by the chain-equivalence pair:
-// the full telemetry snapshot plus the headline totals. Two runs are
-// event-identical iff these strings match byte for byte.
-template <typename System>
-std::string fingerprint(System& sys) {
-  std::string out;
-  char buf[160];
-  for (const auto& [name, value] : sys.registry().snapshot()) {
-    std::snprintf(buf, sizeof buf, "%s,%.10g\n", name.c_str(), value);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof buf,
-                "totals,completed=%llu,vlrt=%llu,drops=%llu,events=%llu\n",
-                static_cast<unsigned long long>(sys.latency().completed()),
-                static_cast<unsigned long long>(sys.latency().vlrt_count()),
-                static_cast<unsigned long long>(sys.total_drops()),
-                static_cast<unsigned long long>(sys.simulation().events_executed()));
-  out += buf;
-  return out;
-}
-
-// --- 1. diamond DAG -------------------------------------------------------
 
 graph::GraphConfig diamond_config(bool quick) {
   auto cfg = graph::parse_topology(R"(
@@ -221,76 +191,6 @@ void run_replicated(const bench::BenchFlags& flags, bench::BenchPerf& perf) {
             "replica) and inflates it near saturation (duplicates are extra load).");
 }
 
-// --- 4. chain equivalence (the byte-identical contract) --------------------
-
-core::ChainConfig native_chain(bool quick) {
-  core::ChainConfig cfg;
-  cfg.name = "equiv";
-  const char* names[3] = {"web", "app", "db"};
-  for (int i = 0; i < 3; ++i) {
-    core::ChainTierSpec tier;
-    tier.name = names[i];
-    if (i == 2) {
-      tier.sync.threads_per_process = 100;
-      tier.program_fn = core::leaf_fn(Duration::micros(500), Duration::millis(2));
-      tier.has_disk = true;
-    } else {
-      tier.program_fn = core::relay_fn(Duration::micros(60), Duration::micros(60));
-    }
-    cfg.tiers.push_back(std::move(tier));
-  }
-  cfg.workload.sessions = 5000;
-  cfg.duration = quick ? Duration::seconds(10) : Duration::seconds(25);
-  cfg.freeze_tier = 2;
-  cfg.freeze.first = Time::from_seconds(6);
-  cfg.freeze.period = Duration::seconds(8);
-  cfg.freeze.pause = Duration::millis(900);
-  return cfg;
-}
-
-graph::GraphConfig graph_chain(bool quick) {
-  auto cfg = graph::parse_topology(R"(
-graph equiv
-seed 42
-sessions 5000
-node web kind=sync threads=150 work=cpu:60us,down,cpu:60us
-node app kind=sync threads=150 work=cpu:60us,down,cpu:60us
-node db  kind=sync threads=100 work=cpu:500us,disk:2ms
-edge web app
-edge app db
-freeze db first=6s period=8s pause=900ms
-)");
-  cfg.duration = quick ? Duration::seconds(10) : Duration::seconds(25);
-  return cfg;
-}
-
-int run_equivalence(const bench::BenchFlags& flags, bench::BenchPerf& perf) {
-  std::puts("--- 4. chain-equivalence: ChainSystem vs the same topology as a graph ---");
-  core::ChainSystem chain(native_chain(flags.quick));
-  chain.run();
-  auto gcfg = graph_chain(flags.quick);
-  graph::validate(gcfg);
-  graph::GraphSystem graph_sys(std::move(gcfg));
-  graph_sys.run();
-  const std::string a = fingerprint(chain);
-  const std::string b = fingerprint(graph_sys);
-  const bool match = (a == b);
-  std::printf("fingerprints %s (%zu bytes)\n", match ? "IDENTICAL" : "DIFFER", a.size());
-  std::printf("[graph] section=chain_equivalence match=%d bytes=%zu\n",
-              match ? 1 : 0, a.size());
-  if (!flags.sweep_out.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(flags.sweep_out, ec);
-    metrics::write_file(flags.sweep_out + "/chain_native.csv", a);
-    metrics::write_file(flags.sweep_out + "/chain_graph.csv", b);
-    std::printf("wrote %s/chain_native.csv and %s/chain_graph.csv\n",
-                flags.sweep_out.c_str(), flags.sweep_out.c_str());
-  }
-  perf.add_events(chain.simulation().events_executed());
-  perf.add_events(graph_sys.simulation().events_executed());
-  return match ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -300,7 +200,6 @@ int main(int argc, char** argv) {
   run_diamond(flags, perf);
   run_deep_chain(flags, perf);
   run_replicated(flags, perf);
-  const int rc = run_equivalence(flags, perf);
   perf.print();
-  return rc;
+  return 0;
 }

@@ -4,49 +4,36 @@
 // disappears completely if (and only if) all the servers are
 // asynchronous." The paper evaluates the front-to-back replacement
 // order (NX=1,2,3); here we run ALL 8 sync/async combinations of a
-// 3-tier chain under the same leaf-tier millibottleneck and check that
+// 3-tier chain under the same app-tier millibottleneck and check that
 // exactly one combination — all-async — is drop-free.
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/chain.h"
+#include "graph/graph_system.h"
+#include "graph/topology.h"
 #include "metrics/table.h"
 
 using namespace ntier;
-using sim::Duration;
-using sim::Time;
 
 namespace {
 
-core::ChainConfig combo(bool web_async, bool app_async, bool db_async) {
-  core::ChainConfig cfg;
-  cfg.name = std::string("mixed-") + (web_async ? "a" : "s") +
-             (app_async ? "a" : "s") + (db_async ? "a" : "s");
-  auto tier = [](std::string name, bool async, std::size_t threads, auto fn) {
-    core::ChainTierSpec t;
-    t.name = std::move(name);
-    t.async = async;
-    t.sync.threads_per_process = threads;
-    t.sync.max_processes = 1;
-    t.program_fn = fn;
-    return t;
-  };
-  cfg.tiers.push_back(tier("web", web_async, 150,
-                           core::relay_fn(Duration::micros(60), Duration::micros(40))));
-  cfg.tiers.push_back(tier("app", app_async, 150,
-                           core::relay_fn(Duration::micros(150), Duration::micros(600))));
-  auto db = tier("db", db_async, 100, core::leaf_fn(Duration::micros(400)));
-  db.async_cfg.max_active = 8;      // InnoDB thread concurrency
-  db.async_cfg.lite_q_depth = 2000; // InnoDB wait queue
-  cfg.tiers.push_back(std::move(db));
-  cfg.workload.sessions = 7000;
-  cfg.duration = Duration::seconds(40);
-  // Millibottleneck in the app tier (the paper's consolidation case).
-  cfg.freeze_tier = 1;
-  cfg.freeze.first = Time::from_seconds(8);
-  cfg.freeze.period = Duration::seconds(12);
-  cfg.freeze.pause = Duration::millis(700);
-  return cfg;
+graph::GraphConfig combo(bool web_async, bool app_async, bool db_async) {
+  auto kind = [](bool async) { return async ? "kind=async" : "kind=sync"; };
+  const std::string name = std::string("mixed-") + (web_async ? "a" : "s") +
+                           (app_async ? "a" : "s") + (db_async ? "a" : "s");
+  // A sync db runs 100 threads; an async one models InnoDB: 8 threads of
+  // concurrency in front of a 2000-deep wait queue. The millibottleneck
+  // sits in the app tier (the paper's consolidation case).
+  return graph::parse_topology(
+      "graph " + name + "\n"
+      "sessions 7000\n"
+      "duration 40s\n"
+      "node web " + kind(web_async) + " work=cpu:60us,down,cpu:40us\n"
+      "node app " + kind(app_async) + " work=cpu:150us,down,cpu:600us\n"
+      "node db  " + kind(db_async) + " threads=100 active=8 liteq=2000 work=cpu:400us\n"
+      "edge web app\n"
+      "edge app db\n"
+      "freeze app first=8s period=12s pause=700ms\n");
 }
 
 }  // namespace
@@ -61,19 +48,18 @@ int main(int argc, char** argv) {
     const bool web = (mask & 4) != 0;
     const bool app = (mask & 2) != 0;
     const bool db = (mask & 1) != 0;
-    auto ccfg = combo(web, app, db);
-    ccfg.obs = tf.obs;
-    core::ChainSystem sys(std::move(ccfg));
-    sys.run();
+    auto cfg = combo(web, app, db);
+    cfg.obs = tf.obs;
+    auto sys = graph::run_graph(cfg);
     t.add_row({web ? "async" : "sync", app ? "async" : "sync", db ? "async" : "sync",
-               metrics::Table::num(sys.tier(0)->stats().dropped),
-               metrics::Table::num(sys.tier(1)->stats().dropped),
-               metrics::Table::num(sys.tier(2)->stats().dropped),
-               metrics::Table::num(sys.latency().vlrt_count()),
-               sys.total_drops() == 0 ? "YES" : "no"});
-    bench::finalize_incidents(sys);
-    bench::maybe_dashboard(sys, tf);
-    perf.add_events(sys.simulation().events_executed());
+               metrics::Table::num(sys->server(0)->stats().dropped),
+               metrics::Table::num(sys->server(1)->stats().dropped),
+               metrics::Table::num(sys->server(2)->stats().dropped),
+               metrics::Table::num(sys->latency().vlrt_count()),
+               sys->total_drops() == 0 ? "YES" : "no"});
+    bench::finalize_incidents(*sys);
+    bench::maybe_dashboard(*sys, tf);
+    perf.add_events(sys->simulation().events_executed());
   }
   std::puts("All 8 sync/async combinations under the same app-tier millibottleneck:");
   std::puts(t.to_string().c_str());

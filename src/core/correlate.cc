@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/chain.h"
 #include "core/system.h"
 
 namespace ntier::core {
@@ -161,26 +160,6 @@ std::vector<obs::SeriesGroup> detector_groups(const SignalSet& s) {
   return groups;
 }
 
-SignalSet collect_signals(const ChainSystem& sys) {
-  SignalSet s;
-  s.registry = &sys.registry();
-  s.vlrt = &sys.latency().vlrt_per_window();
-  s.window = sys.sampler().window();
-  for (std::size_t i = 0; i < sys.tier_count(); ++i) {
-    TierSignals ts;
-    ts.name = sys.tier(i)->name();
-    if (sys.tier_disk(i) != nullptr)
-      ts.saturation.push_back(sys.tier_disk(i)->name() + ".busy");
-    const std::string vm = sys.tier_vm(i)->name();
-    ts.saturation.push_back(vm + ".demand");
-    ts.saturation.push_back(vm + ".stall");
-    ts.dropped = ts.name + ".dropped";
-    ts.queue = ts.name + ".queue";
-    s.tiers.push_back(std::move(ts));
-  }
-  return s;
-}
-
 CorrelationReport correlate_signals(const SignalSet& s, CorrelateOptions opt) {
   CorrelationReport rep;
   if (s.registry == nullptr || s.vlrt == nullptr || s.tiers.empty()) return rep;
@@ -285,10 +264,6 @@ CorrelationReport correlate_signals(const SignalSet& s, CorrelateOptions opt) {
 }
 
 CorrelationReport correlate(const NTierSystem& sys, CorrelateOptions opt) {
-  return correlate_signals(collect_signals(sys), opt);
-}
-
-CorrelationReport correlate(const ChainSystem& sys, CorrelateOptions opt) {
   return correlate_signals(collect_signals(sys), opt);
 }
 

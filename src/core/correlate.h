@@ -50,7 +50,6 @@
 namespace ntier::core {
 
 class NTierSystem;
-class ChainSystem;
 
 // One lag-swept correlation: source leads target by `lag_windows`.
 struct LagCorrelation {
@@ -139,9 +138,9 @@ struct CorrelateOptions {
 };
 
 // Signal extraction (no analysis): names every per-tier saturation/queue/
-// drop series the systems publish, in tier order.
+// drop series the 3-tier system publishes, in tier order (service graphs:
+// graph::collect_signals).
 SignalSet collect_signals(const NTierSystem& sys);
-SignalSet collect_signals(const ChainSystem& sys);
 
 // Adapts a SignalSet into the obs detector suite's per-tier series
 // groups — the same series the offline engine correlates are what the
@@ -154,10 +153,8 @@ std::vector<obs::SeriesGroup> detector_groups(const SignalSet& s);
 CorrelationReport correlate_signals(const SignalSet& s,
                                     CorrelateOptions opt = CorrelateOptions());
 
-// Convenience wrappers.
+// Convenience wrapper.
 CorrelationReport correlate(const NTierSystem& sys,
-                            CorrelateOptions opt = CorrelateOptions());
-CorrelationReport correlate(const ChainSystem& sys,
                             CorrelateOptions opt = CorrelateOptions());
 
 }  // namespace ntier::core

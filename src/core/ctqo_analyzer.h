@@ -15,8 +15,9 @@
 // several RTOs — the metastable regime where retries stop being a
 // tail-latency cure and become the amplifier that sustains the CTQO.
 //
-// Works on the paper's 3-tier NTierSystem and on arbitrary-depth
-// ChainSystems through the generic tier-view entry point.
+// Works on the paper's 3-tier NTierSystem and, through the generic
+// tier-view entry point, on service graphs of any depth
+// (graph::analyze_ctqo, chain-shaped graphs included).
 #pragma once
 
 #include <cstdint>

@@ -103,61 +103,31 @@ std::string write_to(const std::string& json, const std::string& dir,
   return metrics::write_file(path, json) ? path : std::string();
 }
 
+ManifestRun manifest_run(const NTierSystem& sys) {
+  const auto& cfg = sys.config();
+  ManifestRun run;
+  run.kind = "ntier";
+  run.name = cfg.name;
+  run.arch = to_string(cfg.system.arch);
+  run.seed = cfg.seed;
+  run.duration = cfg.duration;
+  run.sample_window = cfg.sample_window;
+  run.sessions = cfg.workload.sessions;
+  for (Tier t : {Tier::kWeb, Tier::kApp, Tier::kDb}) {
+    run.tiers.push_back(sys.tier(t)->name());
+    run.total_drops += sys.tier(t)->stats().dropped;
+  }
+  run.events_executed = sys.simulation().events_executed();
+  run.latency = &sys.latency();
+  run.registry = &sys.registry();
+  return run;
+}
+
 }  // namespace
 
 std::string run_manifest_json(const NTierSystem& sys, const CtqoReport* ctqo,
                               const obs::IncidentSummary* incidents) {
-  const auto& cfg = sys.config();
-  std::string out = "{\n  \"schema\": \"ntier.run-manifest/1\",\n  \"kind\": \"ntier\",\n";
-  out += "  \"name\": ";
-  append_escaped(out, cfg.name);
-  out += ",\n  \"arch\": ";
-  append_escaped(out, to_string(cfg.system.arch));
-  out += ",\n  \"seed\": ";
-  append_u64(out, cfg.seed);
-  out += ",\n  \"duration_s\": ";
-  append_num(out, cfg.duration.to_seconds());
-  out += ",\n  \"sample_window_ms\": ";
-  append_num(out, cfg.sample_window.to_millis());
-  out += ",\n  \"sessions\": ";
-  append_u64(out, cfg.workload.sessions);
-  out += ",\n  \"tiers\": [";
-  std::uint64_t drops = 0;
-  for (int i = 0; i < 3; ++i) {
-    const auto* srv = sys.tier(static_cast<Tier>(i));
-    if (i > 0) out += ", ";
-    append_escaped(out, srv->name());
-    drops += srv->stats().dropped;
-  }
-  out += "],\n";
-  append_common(out, sys.latency(), drops, sys.simulation().events_executed(),
-                sys.registry(), ctqo, incidents);
-  return out;
-}
-
-std::string run_manifest_json(const ChainSystem& sys, const CtqoReport* ctqo,
-                              const obs::IncidentSummary* incidents) {
-  const auto& cfg = sys.config();
-  std::string out = "{\n  \"schema\": \"ntier.run-manifest/1\",\n  \"kind\": \"chain\",\n";
-  out += "  \"name\": ";
-  append_escaped(out, cfg.name);
-  out += ",\n  \"seed\": ";
-  append_u64(out, cfg.seed);
-  out += ",\n  \"duration_s\": ";
-  append_num(out, cfg.duration.to_seconds());
-  out += ",\n  \"sample_window_ms\": ";
-  append_num(out, cfg.sample_window.to_millis());
-  out += ",\n  \"sessions\": ";
-  append_u64(out, cfg.workload.sessions);
-  out += ",\n  \"tiers\": [";
-  for (std::size_t i = 0; i < sys.tier_count(); ++i) {
-    if (i > 0) out += ", ";
-    append_escaped(out, sys.tier(i)->name());
-  }
-  out += "],\n";
-  append_common(out, sys.latency(), sys.total_drops(),
-                sys.simulation().events_executed(), sys.registry(), ctqo, incidents);
-  return out;
+  return run_manifest_json(manifest_run(sys), ctqo, incidents);
 }
 
 std::string run_manifest_json(const ManifestRun& run, const CtqoReport* ctqo,
@@ -166,6 +136,10 @@ std::string run_manifest_json(const ManifestRun& run, const CtqoReport* ctqo,
   append_escaped(out, run.kind);
   out += ",\n  \"name\": ";
   append_escaped(out, run.name);
+  if (!run.arch.empty()) {
+    out += ",\n  \"arch\": ";
+    append_escaped(out, run.arch);
+  }
   out += ",\n  \"seed\": ";
   append_u64(out, run.seed);
   out += ",\n  \"duration_s\": ";
@@ -187,12 +161,7 @@ std::string run_manifest_json(const ManifestRun& run, const CtqoReport* ctqo,
 
 std::string write_manifest(const NTierSystem& sys, const std::string& dir,
                            const CtqoReport* ctqo, const obs::IncidentSummary* incidents) {
-  return write_to(run_manifest_json(sys, ctqo, incidents), dir, sys.config().name);
-}
-
-std::string write_manifest(const ChainSystem& sys, const std::string& dir,
-                           const CtqoReport* ctqo, const obs::IncidentSummary* incidents) {
-  return write_to(run_manifest_json(sys, ctqo, incidents), dir, sys.config().name);
+  return write_manifest(manifest_run(sys), dir, ctqo, incidents);
 }
 
 std::string write_manifest(const ManifestRun& run, const std::string& dir,

@@ -10,17 +10,17 @@
 
 #include <string>
 
-#include "core/chain.h"
 #include "core/system.h"
 
 namespace ntier::core {
 
 struct CtqoReport;
 
-// Renders the manifest for a finished run (3-tier or chain). When a
-// CTQO report is supplied and it detected retry storms, a "ctqo_storm"
-// block (episode count, longest storm, peak retry amplification) is
-// included; storm-free runs emit byte-identical manifests either way.
+// Renders the manifest for a finished 3-tier run (kind "ntier", with
+// the architecture in "arch"). When a CTQO report is supplied and it
+// detected retry storms, a "ctqo_storm" block (episode count, longest
+// storm, peak retry amplification) is included; storm-free runs emit
+// byte-identical manifests either way.
 // When an obs incident summary with count > 0 is supplied, an
 // "incidents" block (count, open, first-fire time, per-detector
 // breakdown) rides along the same way — incident-free runs (or callers
@@ -28,18 +28,16 @@ struct CtqoReport;
 std::string run_manifest_json(const NTierSystem& sys,
                               const CtqoReport* ctqo = nullptr,
                               const obs::IncidentSummary* incidents = nullptr);
-std::string run_manifest_json(const ChainSystem& sys,
-                              const CtqoReport* ctqo = nullptr,
-                              const obs::IncidentSummary* incidents = nullptr);
 
-// Generic manifest entry for system shapes core does not know about
-// (the service-graph engine lives above core in the layer stack):
-// callers fill the run identity plus non-owning pointers to the
-// collectors. `tiers` lists server names front to back (flattened
+// Generic manifest entry every system shape renders through (the
+// service-graph engine lives above core in the layer stack and fills
+// one too): callers fill the run identity plus non-owning pointers to
+// the collectors. `tiers` lists server names front to back (flattened
 // replicas for graphs).
 struct ManifestRun {
-  std::string kind;  // "graph", ... ("ntier"/"chain" use the typed APIs)
+  std::string kind;  // "ntier" or "graph"
   std::string name;
+  std::string arch;  // written after "name" only when non-empty
   std::uint64_t seed = 0;
   sim::Duration duration = sim::Duration::zero();
   sim::Duration sample_window = sim::Duration::zero();
@@ -56,9 +54,6 @@ std::string run_manifest_json(const ManifestRun& run, const CtqoReport* ctqo = n
 // Writes <dir>/<name>.manifest.json (creating dir if needed); returns
 // the path, or "" on write failure.
 std::string write_manifest(const NTierSystem& sys, const std::string& dir,
-                           const CtqoReport* ctqo = nullptr,
-                           const obs::IncidentSummary* incidents = nullptr);
-std::string write_manifest(const ChainSystem& sys, const std::string& dir,
                            const CtqoReport* ctqo = nullptr,
                            const obs::IncidentSummary* incidents = nullptr);
 std::string write_manifest(const ManifestRun& run, const std::string& dir,

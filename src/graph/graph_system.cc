@@ -48,8 +48,7 @@ GraphSystem::GraphSystem(GraphConfig cfg)
     }
   }
 
-  // Components, node-major replica-minor — the same construction order
-  // as ChainSystem when the graph is a chain (one replica per node).
+  // Components, node-major replica-minor (front to back for a chain).
   for (std::size_t i = 0; i < n; ++i) {
     const NodeSpec& spec = cfg_.nodes[i];
     flat_base_.push_back(servers_.size());
@@ -95,9 +94,9 @@ GraphSystem::GraphSystem(GraphConfig cfg)
     }
   }
 
-  // Wiring. The chain path is the ChainSystem fast path: no balancers,
-  // no extra RNG forks, connect_downstream in front-to-back order —
-  // byte-identical artifacts per the chain-equivalence contract.
+  // Wiring. The chain path: no balancers, no extra RNG forks,
+  // connect_downstream in front-to-back order (artifacts pinned by the
+  // ChainEquivalence tests).
   net::Link link{cfg_.link_latency};
   if (chain) {
     for (std::size_t i = 0; i + 1 < n; ++i)

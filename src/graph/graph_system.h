@@ -4,11 +4,10 @@
 // replica-group balancers, clients, and monitors for one run of a
 // GraphConfig. Construction wires everything; run() drives.
 //
-// Wiring takes one of two paths (the chain-equivalence contract,
-// docs/TOPOLOGY.md):
-//  - chain-shaped configs (is_chain) use connect_downstream with the
-//    exact ChainSystem construction order and RNG fork schedule, so the
-//    run is byte-identical to the equivalent ChainConfig;
+// Wiring takes one of two paths (docs/TOPOLOGY.md):
+//  - chain-shaped configs (is_chain) use connect_downstream front to
+//    back with no balancers and no extra RNG forks; the
+//    ChainEquivalence tests pin these runs byte for byte;
 //  - general DAGs build one shared ReplicaGroup per node and add one
 //    fan-out Route per (sender replica, out-edge); a kDownstream step
 //    then contacts every out-edge in parallel and the reply resumes at
@@ -81,7 +80,7 @@ class GraphSystem {
   const cpu::VmCpu* vm_flat(std::size_t i) const { return vms_.at(i); }
   cpu::IoDevice* disk_flat(std::size_t i) { return disks_.at(i).get(); }
   const cpu::IoDevice* disk_flat(std::size_t i) const { return disks_.at(i).get(); }
-  // The node's shared balancer; null on the chain-equivalence path
+  // The node's shared balancer; null on the chain wiring path
   // (chains have no balancers).
   ReplicaGroup* group(std::size_t node) {
     return groups_.empty() ? nullptr : groups_.at(node).get();
@@ -160,7 +159,7 @@ std::string write_manifest(const GraphSystem& sys, const std::string& dir,
                            const obs::IncidentSummary* incidents = nullptr);
 
 // Builds and runs cfg.duration after validating; the system stays alive
-// for inspection (mirrors run_chain for chain topologies).
+// for inspection (mirrors core::run_system for the 3-tier testbed).
 std::unique_ptr<GraphSystem> run_graph(const GraphConfig& cfg);
 
 }  // namespace ntier::graph

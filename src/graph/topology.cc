@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -16,6 +18,18 @@ namespace ntier::graph {
 
 namespace {
 
+// A decimal number that spans all of `s` (stod alone stops at the first
+// character it cannot use, so "1.2.3" would read as 1.2).
+bool parse_double(const std::string& s, double& out) {
+  std::size_t used = 0;
+  try {
+    out = std::stod(s, &used);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return used == s.size();
+}
+
 // "60us" / "2ms" / "1.5s" -> Duration (integral microseconds).
 bool parse_duration_tok(const std::string& s, sim::Duration& out) {
   std::size_t i = 0;
@@ -24,11 +38,7 @@ bool parse_duration_tok(const std::string& s, sim::Duration& out) {
     ++i;
   if (i == 0 || i == s.size()) return false;
   double value = 0.0;
-  try {
-    value = std::stod(s.substr(0, i));
-  } catch (const std::exception&) {
-    return false;
-  }
+  if (!parse_double(s.substr(0, i), value)) return false;
   const std::string unit = s.substr(i);
   double scale_us = 0.0;
   if (unit == "us") scale_us = 1.0;
@@ -90,12 +100,22 @@ std::vector<server::WorkStep> parse_work(const std::string& spec, int lineno) {
   return steps;
 }
 
+// Digits only, all of `s`, in range: stoull would wrap a leading '-' to
+// 2^64-1 and ignore trailing junk.
 std::uint64_t parse_u64(const std::string& s, int lineno, const std::string& what) {
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) fail(lineno, "bad " + what + " '" + s + "'");
+  return v;
+}
+
+// parse_u64 for int fields, rejecting what a cast would wrap.
+int parse_int(const std::string& s, int lineno, const std::string& what) {
+  const std::uint64_t v = parse_u64(s, lineno, what);
+  if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
     fail(lineno, "bad " + what + " '" + s + "'");
-  }
+  return static_cast<int>(v);
 }
 
 NodeSpec parse_node(const std::vector<std::string>& toks, int lineno) {
@@ -127,7 +147,7 @@ NodeSpec parse_node(const std::vector<std::string>& toks, int lineno) {
     } else if (key == "sched") {
       if (!parse_sched(val, spec.sched)) fail(lineno, "unknown sched '" + val + "'");
     } else if (key == "vcpus") {
-      spec.vcpus = static_cast<int>(parse_u64(val, lineno, "vcpus"));
+      spec.vcpus = parse_int(val, lineno, "vcpus");
     } else if (key == "threads") {
       spec.sync.threads_per_process = parse_u64(val, lineno, "threads");
     } else if (key == "backlog") {
@@ -246,11 +266,8 @@ GraphConfig parse_topology(const std::string& text) {
       core::apply_app_recovery(cfg.tier_policy, *p);
     } else if (kw == "burst") {
       want(4);
-      try {
-        cfg.workload.burst_index = std::stod(toks[1]);
-      } catch (const std::exception&) {
+      if (!parse_double(toks[1], cfg.workload.burst_index))
         fail(lineno, "bad burst index '" + toks[1] + "'");
-      }
       cfg.workload.burst_dwell = dur_arg(toks[2]);
       cfg.workload.normal_dwell = dur_arg(toks[3]);
     } else if (kw == "node") {
@@ -288,7 +305,7 @@ GraphConfig parse_topology(const std::string& text) {
         const std::string key = toks[i].substr(0, eq);
         const std::string val = toks[i].substr(eq + 1);
         if (key == "replica") {
-          cfg.freeze_replica = static_cast<int>(parse_u64(val, lineno, "replica"));
+          cfg.freeze_replica = parse_int(val, lineno, "replica");
         } else if (key == "first") {
           cfg.freeze.first = sim::Time::origin() + dur_arg(val);
         } else if (key == "period") {

@@ -1,7 +1,7 @@
 // Declarative service-graph topologies: config model + text grammar.
 //
-// Generalizes the tier chain (core/chain.h) to an arbitrary service
-// DAG: nodes carry a server model (sync / async / staged), a work
+// Describes any service DAG, the paper's tier chain included: nodes
+// carry a server model (sync / async / staged), a work
 // program, pool sizing, an optional disk, a replica count with a
 // load-balancer policy, and a queue discipline; edges carry fan-out
 // semantics — a node with several out-edges contacts ALL of them in
@@ -28,11 +28,10 @@
 // docs/PROTOCOLS.md) graph-wide; `edge a b proto=<name>` overrides the
 // timers of one route and the receiving node's admission mode.
 //
-// Chain-equivalence contract: a chain-shaped config (every node one
-// replica, edges exactly i -> i+1) is wired through the same
-// connect_downstream fast path as ChainSystem with the same RNG fork
-// schedule, so its artifacts are byte-identical to the equivalent
-// ChainConfig run at the same seed (enforced by tests and a CI cmp).
+// Chain wiring: a chain-shaped config (every node one replica, edges
+// exactly i -> i+1) is wired with connect_downstream front to back and
+// draws no balancer RNG forks; the ChainEquivalence tests pin its
+// artifacts byte for byte (docs/TOPOLOGY.md).
 #pragma once
 
 #include <cstdint>
@@ -96,7 +95,7 @@ struct EdgeSpec {
 };
 
 // A whole graph experiment: topology plus the workload / fault / policy
-// knobs shared with ChainConfig. Pure value; same config + seed =>
+// knobs shared with ExperimentConfig. Pure value; same config + seed =>
 // same artifacts.
 struct GraphConfig {
   // Run name, the node list (entry node FIRST — it faces the clients),
@@ -128,7 +127,7 @@ struct GraphConfig {
   int freeze_node = -1;
   int freeze_replica = -1;
   cpu::FreezeInjector::Config freeze{};
-  // Tail-tolerance policy on every inter-node hop (see ChainConfig).
+  // Tail-tolerance policy on every inter-node hop (see ExperimentConfig).
   policy::TailPolicy tier_policy{};
   // Deterministic fault schedule; tier indices address flattened
   // replicas (node-major, replica-minor), hop 0 is the client link.
@@ -146,7 +145,7 @@ int node_index(const GraphConfig& cfg, const std::string& name);
 std::vector<int> out_edges(const GraphConfig& cfg, int node);
 
 // True when the graph is an unreplicated chain (edges exactly
-// i -> i+1): such configs take the ChainSystem-identical wiring path.
+// i -> i+1): such configs take the connect_downstream chain wiring.
 bool is_chain(const GraphConfig& cfg);
 
 // Why `cfg` is invalid, or "" when it is well-formed. Checks node/pool

@@ -4,7 +4,6 @@
 // remain available for faster builds.
 #pragma once
 
-#include "core/chain.h"          // arbitrary-depth n-tier chains
 #include "core/config.h"         // experiment configuration
 #include "core/ctqo_analyzer.h"  // drop-episode classification
 #include "core/experiment.h"     // run + summarize

@@ -62,8 +62,8 @@ struct ObsConfig {
 };
 
 // Non-owning pointers to the run's collectors; all must outlive the
-// monitor. `tracer` may be null (ChainSystem has none): detection and
-// timeline capture still run, only span capture is skipped.
+// monitor. `tracer` may be null (tracing off): detection and timeline
+// capture still run, only span capture is skipped.
 struct Bindings {
   monitor::Sampler* sampler = nullptr;       // required
   telemetry::Registry* registry = nullptr;   // required

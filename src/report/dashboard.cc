@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/chain.h"
 #include "core/system.h"
 #include "graph/graph_system.h"
 #include "obs/incident_monitor.h"
@@ -118,26 +117,6 @@ RunView make_view(const core::NTierSystem& sys) {
     p.util.push_back(sys.tier_vm(t)->name() + ".demand");
     if (t == core::Tier::kDb && sys.db_disk() != nullptr)
       p.util.push_back(sys.db_disk()->name() + ".busy");
-    p.queue = p.name + ".queue";
-    p.dropped = p.name + ".dropped";
-    v.tiers.push_back(std::move(p));
-  }
-  return v;
-}
-
-RunView make_view(const core::ChainSystem& sys) {
-  RunView v;
-  v.name = sys.config().name;
-  v.seed = sys.config().seed;
-  v.duration_s = (sys.simulation().now() - sim::Time::origin()).to_seconds();
-  v.window_s = sys.sampler().window().to_seconds();
-  v.registry = &sys.registry();
-  v.latency = &sys.latency();
-  for (std::size_t i = 0; i < sys.tier_count(); ++i) {
-    TierPanel p;
-    p.name = sys.tier(i)->name();
-    p.util.push_back(sys.tier_vm(i)->name() + ".demand");
-    if (sys.tier_disk(i) != nullptr) p.util.push_back(sys.tier_disk(i)->name() + ".busy");
     p.queue = p.name + ".queue";
     p.dropped = p.name + ".dropped";
     v.tiers.push_back(std::move(p));
@@ -589,19 +568,7 @@ std::string render_dashboard(const core::NTierSystem& sys, const core::CtqoRepor
   return render(make_view(sys), ctqo, corr, om);
 }
 
-std::string render_dashboard(const core::ChainSystem& sys, const core::CtqoReport& ctqo,
-                             const core::CorrelationReport& corr,
-                             const obs::IncidentMonitor* om) {
-  return render(make_view(sys), ctqo, corr, om);
-}
-
 std::string write_dashboard(const core::NTierSystem& sys, const core::CtqoReport& ctqo,
-                            const core::CorrelationReport& corr, const std::string& dir,
-                            const std::string& name, const obs::IncidentMonitor* om) {
-  return write_file(dir, name, render_dashboard(sys, ctqo, corr, om));
-}
-
-std::string write_dashboard(const core::ChainSystem& sys, const core::CtqoReport& ctqo,
                             const core::CorrelationReport& corr, const std::string& dir,
                             const std::string& name, const obs::IncidentMonitor* om) {
   return write_file(dir, name, render_dashboard(sys, ctqo, corr, om));

@@ -8,7 +8,6 @@
 
 namespace ntier::core {
 class NTierSystem;
-class ChainSystem;
 }  // namespace ntier::core
 
 namespace ntier::graph {
@@ -35,19 +34,12 @@ namespace ntier::report {
 std::string render_dashboard(const core::NTierSystem& sys, const core::CtqoReport& ctqo,
                              const core::CorrelationReport& corr,
                              const obs::IncidentMonitor* om = nullptr);
-std::string render_dashboard(const core::ChainSystem& sys, const core::CtqoReport& ctqo,
-                             const core::CorrelationReport& corr,
-                             const obs::IncidentMonitor* om = nullptr);
 std::string render_dashboard(const graph::GraphSystem& sys, const core::CtqoReport& ctqo,
                              const core::CorrelationReport& corr,
                              const obs::IncidentMonitor* om = nullptr);
 
 // Renders and writes `<dir>/<name>.dashboard.html`; returns the path.
 std::string write_dashboard(const core::NTierSystem& sys, const core::CtqoReport& ctqo,
-                            const core::CorrelationReport& corr, const std::string& dir,
-                            const std::string& name,
-                            const obs::IncidentMonitor* om = nullptr);
-std::string write_dashboard(const core::ChainSystem& sys, const core::CtqoReport& ctqo,
                             const core::CorrelationReport& corr, const std::string& dir,
                             const std::string& name,
                             const obs::IncidentMonitor* om = nullptr);

@@ -1,7 +1,7 @@
 // Per-layer publish points: each helper registers the layer's statistics
 // as pull-probes on the unified registry (registry.h). Header-only so the
 // registry core stays dependent on sim/ and metrics/ alone; the system
-// builders (core/system.cc, core/chain.cc) include this and wire every
+// builders (core/system.cc, graph/graph_system.cc) include this and wire every
 // layer at construction time.
 //
 // All probes are pure reads of state the layers already maintain —

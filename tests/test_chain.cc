@@ -1,63 +1,48 @@
-// Tests of the generalized arbitrary-depth chain (core/chain.h): the
-// paper's CTQO mechanics must hold for n > 3 tiers.
-#include "core/chain.h"
+// Tests of arbitrary-depth chains, built as chain-shaped service graphs
+// (graph/topology.h): the paper's CTQO mechanics must hold for n > 3
+// tiers.
+#include <tuple>
 
 #include <gtest/gtest.h>
 
-namespace ntier::core {
+#include "graph/graph_system.h"
+#include "graph/topology.h"
+
+namespace ntier::graph {
 namespace {
 
 using sim::Duration;
 using sim::Time;
 
-ChainTierSpec sync_tier(std::string name, std::size_t threads,
-                        std::function<server::Program(const server::RequestClassProfile&)> fn) {
-  ChainTierSpec t;
-  t.name = std::move(name);
-  t.async = false;
-  t.sync.threads_per_process = threads;
-  t.sync.max_processes = 1;
-  t.sync.backlog = 128;
-  t.program_fn = std::move(fn);
-  return t;
-}
-
-ChainTierSpec async_tier(std::string name,
-                         std::function<server::Program(const server::RequestClassProfile&)> fn) {
-  ChainTierSpec t;
-  t.name = std::move(name);
-  t.async = true;
-  t.program_fn = std::move(fn);
-  return t;
-}
-
 // Four tiers: front -> relay1 -> relay2 -> leaf; leaf CPU dominates.
-ChainConfig four_tier(bool all_async) {
-  ChainConfig cfg;
-  auto mk = [&](std::string name, std::size_t threads, auto fn) {
-    return all_async ? async_tier(name, fn) : sync_tier(name, threads, fn);
-  };
-  cfg.tiers.push_back(mk("front", 150, relay_fn(Duration::micros(50), Duration::micros(50))));
-  cfg.tiers.push_back(mk("relay1", 150, relay_fn(Duration::micros(80), Duration::micros(80))));
-  cfg.tiers.push_back(mk("relay2", 150, relay_fn(Duration::micros(80), Duration::micros(80))));
-  cfg.tiers.push_back(mk("leaf", 100, leaf_fn(Duration::micros(500))));
-  cfg.workload.sessions = 5000;  // ~714 req/s -> leaf at ~36 %
-  cfg.duration = Duration::seconds(30);
-  return cfg;
+// 5000 sessions offer ~714 req/s, the leaf runs at ~36 % CPU.
+GraphConfig four_tier(bool all_async) {
+  const std::string kind = all_async ? "kind=async" : "kind=sync";
+  return parse_topology(
+      "sessions 5000\n"
+      "duration 30s\n"
+      "node front  " + kind + " threads=150 work=cpu:50us,down,cpu:50us\n"
+      "node relay1 " + kind + " threads=150 work=cpu:80us,down,cpu:80us\n"
+      "node relay2 " + kind + " threads=150 work=cpu:80us,down,cpu:80us\n"
+      "node leaf   " + kind + " threads=100 work=cpu:500us\n"
+      "edge front relay1\n"
+      "edge relay1 relay2\n"
+      "edge relay2 leaf\n");
 }
 
 TEST(ChainSystem, BuildsArbitraryDepth) {
-  ChainSystem sys(four_tier(false));
-  EXPECT_EQ(sys.tier_count(), 4u);
-  EXPECT_EQ(sys.tier(0)->name(), "front");
-  EXPECT_EQ(sys.tier(3)->name(), "leaf");
-  EXPECT_EQ(sys.tier(0)->downstream(), sys.tier(1));
-  EXPECT_EQ(sys.tier(2)->downstream(), sys.tier(3));
-  EXPECT_EQ(sys.tier(3)->downstream(), nullptr);
+  GraphSystem sys(four_tier(false));
+  ASSERT_TRUE(is_chain(sys.config()));
+  EXPECT_EQ(sys.node_count(), 4u);
+  EXPECT_EQ(sys.server(0)->name(), "front");
+  EXPECT_EQ(sys.server(3)->name(), "leaf");
+  EXPECT_EQ(sys.server(0)->downstream(), sys.server(1));
+  EXPECT_EQ(sys.server(2)->downstream(), sys.server(3));
+  EXPECT_EQ(sys.server(3)->downstream(), nullptr);
 }
 
 TEST(ChainSystem, QuietChainServesTraffic) {
-  ChainSystem sys(four_tier(false));
+  GraphSystem sys(four_tier(false));
   sys.run();
   EXPECT_GT(sys.clients().completed(), 10000u);
   EXPECT_EQ(sys.total_drops(), 0u);
@@ -66,33 +51,33 @@ TEST(ChainSystem, QuietChainServesTraffic) {
 
 TEST(ChainSystem, UpstreamCtqoCascadesThroughFourTiers) {
   auto cfg = four_tier(false);
-  cfg.freeze_tier = 3;  // millibottleneck in the leaf
+  cfg.freeze_node = 3;  // millibottleneck in the leaf
   cfg.freeze.first = Time::from_seconds(8);
   cfg.freeze.period = Duration::seconds(12);
   cfg.freeze.pause = Duration::millis(900);
-  ChainSystem sys(cfg);
+  GraphSystem sys(cfg);
   sys.run();
   // Drops surface at the front tier (the only tier facing an unbounded
   // source); every intermediate sync tier is bounded by its upstream's
   // thread pool.
-  EXPECT_GT(sys.tier(0)->stats().dropped, 20u);
-  EXPECT_EQ(sys.tier(1)->stats().dropped, 0u);
-  EXPECT_EQ(sys.tier(2)->stats().dropped, 0u);
-  EXPECT_EQ(sys.tier(3)->stats().dropped, 0u);
+  EXPECT_GT(sys.server(0)->stats().dropped, 20u);
+  EXPECT_EQ(sys.server(1)->stats().dropped, 0u);
+  EXPECT_EQ(sys.server(2)->stats().dropped, 0u);
+  EXPECT_EQ(sys.server(3)->stats().dropped, 0u);
   const auto report = analyze_ctqo(sys);
   ASSERT_GE(report.episodes.size(), 1u);
-  EXPECT_EQ(report.episodes[0].kind, CtqoEpisode::Kind::kUpstream);
+  EXPECT_EQ(report.episodes[0].kind, core::CtqoEpisode::Kind::kUpstream);
   EXPECT_EQ(report.episodes[0].drop_tier, 0);
   EXPECT_EQ(report.episodes[0].bottleneck_tier, 3);
 }
 
 TEST(ChainSystem, QueueCascadeOrderMatchesDepth) {
   auto cfg = four_tier(false);
-  cfg.freeze_tier = 3;
+  cfg.freeze_node = 3;
   cfg.freeze.first = Time::from_seconds(8);
   cfg.freeze.period = Duration::seconds(100);  // single episode
   cfg.freeze.pause = Duration::millis(900);
-  ChainSystem sys(cfg);
+  GraphSystem sys(cfg);
   sys.run();
   // Each tier's queue saturates later the further it is from the
   // bottleneck: leaf-adjacent first, then upward (upstream CTQO order).
@@ -111,11 +96,11 @@ TEST(ChainSystem, QueueCascadeOrderMatchesDepth) {
 
 TEST(ChainSystem, AllAsyncChainAbsorbsMillibottleneck) {
   auto cfg = four_tier(true);
-  cfg.freeze_tier = 3;
+  cfg.freeze_node = 3;
   cfg.freeze.first = Time::from_seconds(8);
   cfg.freeze.period = Duration::seconds(12);
   cfg.freeze.pause = Duration::millis(900);
-  ChainSystem sys(cfg);
+  GraphSystem sys(cfg);
   sys.run();
   EXPECT_EQ(sys.total_drops(), 0u);
   EXPECT_EQ(sys.latency().vlrt_count(), 0u);
@@ -125,11 +110,11 @@ TEST(ChainSystem, AllAsyncChainAbsorbsMillibottleneck) {
 
 TEST(ChainSystem, SyncInflightBoundedByUpstreamThreads) {
   auto cfg = four_tier(false);
-  cfg.freeze_tier = 3;
+  cfg.freeze_node = 3;
   cfg.freeze.first = Time::from_seconds(5);
   cfg.freeze.period = Duration::seconds(10);
   cfg.freeze.pause = Duration::millis(900);
-  ChainSystem sys(cfg);
+  GraphSystem sys(cfg);
   sys.run();
   // Tier k+1 never holds more than tier k's thread count (plus its own
   // processing) — the invariant that localizes drops at the front.
@@ -139,45 +124,39 @@ TEST(ChainSystem, SyncInflightBoundedByUpstreamThreads) {
 
 TEST(ChainSystem, ConservationPerTier) {
   auto cfg = four_tier(false);
-  cfg.freeze_tier = 3;
+  cfg.freeze_node = 3;
   cfg.freeze.first = Time::from_seconds(5);
   cfg.freeze.pause = Duration::millis(500);
-  ChainSystem sys(cfg);
+  GraphSystem sys(cfg);
   sys.run();
   EXPECT_EQ(sys.clients().issued(),
             sys.clients().completed() + sys.clients().in_flight());
-  for (std::size_t i = 0; i < sys.tier_count(); ++i) {
-    const auto& st = sys.tier(i)->stats();
-    EXPECT_EQ(st.accepted, st.completed + sys.tier(i)->queued_requests())
-        << sys.tier(i)->name();
+  for (std::size_t i = 0; i < sys.node_count(); ++i) {
+    const auto& st = sys.server(i)->stats();
+    EXPECT_EQ(st.accepted, st.completed + sys.server(i)->queued_requests())
+        << sys.server(i)->name();
   }
 }
 
 TEST(ChainSystem, DiskTierWorks) {
-  ChainConfig cfg;
-  cfg.tiers.push_back(sync_tier("front", 200, relay_fn(Duration::micros(50),
-                                                       Duration::micros(50))));
-  auto leaf = sync_tier("db", 100, leaf_fn(Duration::micros(300), Duration::micros(20)));
-  leaf.has_disk = true;
-  cfg.tiers.push_back(std::move(leaf));
-  cfg.workload.sessions = 1000;
-  cfg.duration = Duration::seconds(10);
-  ChainSystem sys(cfg);
+  GraphSystem sys(parse_topology("sessions 1000\n"
+                                 "duration 10s\n"
+                                 "node front threads=200 work=cpu:50us,down,cpu:50us\n"
+                                 "node db   threads=100 work=cpu:300us,disk:20us\n"
+                                 "edge front db\n"));
   sys.run();
-  ASSERT_NE(sys.tier_disk(1), nullptr);
-  EXPECT_GT(sys.tier_disk(1)->ops_completed(), 1000u);
+  ASSERT_NE(sys.disk_flat(1), nullptr);
+  EXPECT_GT(sys.disk_flat(1)->ops_completed(), 1000u);
   EXPECT_TRUE(sys.sampler().has_series("db.disk.busy"));
   EXPECT_EQ(sys.total_drops(), 0u);
 }
 
 TEST(ChainSystem, TwoTierMinimalChain) {
-  ChainConfig cfg;
-  cfg.tiers.push_back(sync_tier("front", 150, relay_fn(Duration::micros(50),
-                                                       Duration::micros(50))));
-  cfg.tiers.push_back(sync_tier("back", 100, leaf_fn(Duration::micros(400))));
-  cfg.workload.sessions = 1000;
-  cfg.duration = Duration::seconds(10);
-  ChainSystem sys(cfg);
+  GraphSystem sys(parse_topology("sessions 1000\n"
+                                 "duration 10s\n"
+                                 "node front threads=150 work=cpu:50us,down,cpu:50us\n"
+                                 "node back  threads=100 work=cpu:400us\n"
+                                 "edge front back\n"));
   sys.run();
   EXPECT_GT(sys.clients().completed(), 1000u);
   EXPECT_EQ(sys.total_drops(), 0u);
@@ -186,11 +165,11 @@ TEST(ChainSystem, TwoTierMinimalChain) {
 TEST(ChainSystem, DeterministicForSeed) {
   auto run_once = [] {
     auto cfg = four_tier(false);
-    cfg.freeze_tier = 3;
+    cfg.freeze_node = 3;
     cfg.freeze.first = Time::from_seconds(5);
     cfg.freeze.pause = Duration::millis(800);
     cfg.duration = Duration::seconds(15);
-    ChainSystem sys(cfg);
+    GraphSystem sys(cfg);
     sys.run();
     return std::tuple(sys.clients().completed(), sys.total_drops());
   };
@@ -198,4 +177,4 @@ TEST(ChainSystem, DeterministicForSeed) {
 }
 
 }  // namespace
-}  // namespace ntier::core
+}  // namespace ntier::graph

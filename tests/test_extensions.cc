@@ -3,16 +3,14 @@
 // static-request observation.
 #include <gtest/gtest.h>
 
-#include "core/chain.h"
 #include "core/ctqo_analyzer.h"
 #include "core/experiment.h"
 #include "core/scenarios.h"
+#include "graph/graph_system.h"
+#include "graph/topology.h"
 
 namespace ntier::core {
 namespace {
-
-using sim::Duration;
-using sim::Time;
 
 TEST(Extensions, GcPausesCauseCtqoInSyncStack) {
   auto sys = run_system(scenarios::ext_gc_pause(Architecture::kSync));
@@ -80,40 +78,24 @@ TEST_P(StackCombo, CtqoFreeIffAllAsync) {
   const bool web = (mask & 4) != 0;
   const bool app = (mask & 2) != 0;
   const bool db = (mask & 1) != 0;
-  ChainConfig cfg;
-  auto tier = [](std::string name, bool async, std::size_t threads, auto fn) {
-    ChainTierSpec t;
-    t.name = std::move(name);
-    t.async = async;
-    t.sync.threads_per_process = threads;
-    t.sync.max_processes = 1;
-    t.program_fn = fn;
-    return t;
-  };
-  cfg.tiers.push_back(
-      tier("web", web, 150, relay_fn(Duration::micros(60), Duration::micros(40))));
-  cfg.tiers.push_back(
-      tier("app", app, 150, relay_fn(Duration::micros(150), Duration::micros(600))));
-  auto dbt = tier("db", db, 100, leaf_fn(Duration::micros(400)));
-  dbt.async_cfg.max_active = 8;
-  dbt.async_cfg.lite_q_depth = 2000;
-  cfg.tiers.push_back(std::move(dbt));
-  cfg.workload.sessions = 7000;
-  cfg.duration = Duration::seconds(25);
-  cfg.freeze_tier = 1;
-  cfg.freeze.first = Time::from_seconds(8);
-  cfg.freeze.period = Duration::seconds(12);
-  cfg.freeze.pause = Duration::millis(700);
-  ChainSystem sys(cfg);
-  sys.run();
+  auto kind = [](bool async) { return async ? "kind=async" : "kind=sync"; };
+  auto sys = graph::run_graph(graph::parse_topology(
+      std::string("sessions 7000\n"
+                  "duration 25s\n"
+                  "node web ") + kind(web) + " threads=150 work=cpu:60us,down,cpu:40us\n"
+      "node app " + kind(app) + " threads=150 work=cpu:150us,down,cpu:600us\n"
+      "node db  " + kind(db) + " threads=100 active=8 liteq=2000 work=cpu:400us\n"
+      "edge web app\n"
+      "edge app db\n"
+      "freeze app first=8s period=12s pause=700ms\n"));
   if (web && app && db) {
-    EXPECT_EQ(sys.total_drops(), 0u);
-    EXPECT_EQ(sys.latency().vlrt_count(), 0u);
+    EXPECT_EQ(sys->total_drops(), 0u);
+    EXPECT_EQ(sys->latency().vlrt_count(), 0u);
   } else {
-    EXPECT_GT(sys.total_drops(), 0u);
+    EXPECT_GT(sys->total_drops(), 0u);
     // Drops sit at the first tier below an unbounded source.
-    const int expect_tier = !web ? 0 : (!app ? 1 : 2);
-    EXPECT_GT(sys.tier(expect_tier)->stats().dropped, 0u);
+    const std::size_t expect_tier = !web ? 0 : (!app ? 1 : 2);
+    EXPECT_GT(sys->server(expect_tier)->stats().dropped, 0u);
   }
 }
 

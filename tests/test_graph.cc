@@ -1,6 +1,6 @@
 // Tests of the declarative service-graph engine (src/graph): topology
-// parsing and validation, the chain-equivalence contract against
-// ChainSystem, the parallel fan-out / fan-in barrier (verified through
+// parsing and validation, the chain wiring path against pinned
+// fingerprints, the parallel fan-out / fan-in barrier (verified through
 // span trees), and the load-balancer policy menu on a replicated group.
 #include "graph/graph_system.h"
 #include "graph/topology.h"
@@ -9,8 +9,6 @@
 #include <string>
 
 #include <gtest/gtest.h>
-
-#include "core/chain.h"
 
 namespace ntier::graph {
 namespace {
@@ -80,12 +78,30 @@ TEST(Topology, ChainShapedConfigIsDetected) {
   EXPECT_EQ(invalid_reason(cfg), "");
 }
 
+// True when parsing `text` throws std::invalid_argument naming `line`.
+bool rejects_line(const std::string& text, int line) {
+  try {
+    parse_topology(text);
+  } catch (const std::invalid_argument& e) {
+    const std::string tag = "topology line " + std::to_string(line) + ":";
+    return std::string(e.what()).find(tag) != std::string::npos;
+  }
+  return false;
+}
+
 TEST(Topology, SyntaxErrorsNameTheLine) {
-  EXPECT_THROW(parse_topology("node a kind=warp work=cpu:1ms\n"),
-               std::invalid_argument);
-  EXPECT_THROW(parse_topology("graph g\nnode a work=cpu:1parsec\n"),
-               std::invalid_argument);
-  EXPECT_THROW(parse_topology("graph g\nedge a\n"), std::invalid_argument);
+  EXPECT_TRUE(rejects_line("node a kind=warp work=cpu:1ms\n", 1));
+  EXPECT_TRUE(rejects_line("graph g\nnode a work=cpu:1parsec\n", 2));
+  EXPECT_TRUE(rejects_line("graph g\nedge a\n", 2));
+  // Numbers: no sign wrap-around, no trailing junk, no narrowing to int,
+  // and a duration's number must be read whole.
+  for (const char* attrs : {"threads=-1", "replicas=-1", "threads=150x",
+                            "vcpus=4294967297", "work=cpu:1.2.3ms"}) {
+    EXPECT_TRUE(rejects_line(std::string("graph g\nnode a work=cpu:1ms ") + attrs + "\n", 2))
+        << attrs;
+  }
+  EXPECT_TRUE(rejects_line("node a work=cpu:1ms\nfreeze a replica=4294967296\n", 2));
+  EXPECT_TRUE(rejects_line("graph g\nburst 2.5x 1s 4s\n", 2));
 }
 
 // ---------------------------------------------------------------------
@@ -183,52 +199,29 @@ TEST(Validation, RejectsFreezeNodeOutOfRange) {
 }
 
 // ---------------------------------------------------------------------
-// Chain equivalence: a chain-shaped GraphConfig must reproduce the
-// equivalent ChainConfig run byte-for-byte (same RNG fork schedule, same
-// telemetry names, same event count) at the same seed.
+// Chain equivalence: a chain-shaped GraphConfig is wired with
+// connect_downstream front to back, with no balancers and no extra RNG
+// forks. The pinned fingerprints below (registry snapshot + run totals)
+// were captured from the dedicated chain builder this path replaced, so
+// any drift in the chain wiring, its telemetry names or its event
+// schedule fails here. Sync, async and staged nodes each take the path.
 
-core::ChainConfig native_chain() {
-  core::ChainConfig cfg;
-  cfg.name = "eq";
-  auto tier = [](std::string name, std::size_t threads, auto fn, bool disk) {
-    core::ChainTierSpec t;
-    t.name = std::move(name);
-    t.sync.threads_per_process = threads;
-    t.sync.max_processes = 1;
-    t.program_fn = std::move(fn);
-    t.has_disk = disk;
-    return t;
-  };
-  cfg.tiers.push_back(tier("web", 150,
-                           core::relay_fn(Duration::micros(60), Duration::micros(60)), false));
-  cfg.tiers.push_back(tier("db", 100,
-                           core::leaf_fn(Duration::micros(500), Duration::millis(2)), true));
-  cfg.workload.sessions = 3000;
-  cfg.duration = Duration::seconds(12);
-  cfg.freeze_tier = 1;
-  cfg.freeze.first = Time::from_seconds(4);
-  cfg.freeze.period = Duration::seconds(5);
-  cfg.freeze.pause = Duration::millis(900);
-  return cfg;
-}
-
-GraphConfig graph_chain() {
-  GraphConfig cfg = parse_topology(
+GraphConfig graph_chain(const std::string& web_kind, const std::string& db_kind) {
+  return parse_topology(
       "graph eq\n"
       "sessions 3000\n"
       "duration 12s\n"
-      "node web kind=sync threads=150 work=cpu:60us,down,cpu:60us\n"
-      "node db  kind=sync threads=100 work=cpu:500us,disk:2ms\n"
+      "node web kind=" + web_kind + " threads=150 work=cpu:60us,down,cpu:60us\n"
+      "node db  kind=" + db_kind + " threads=100 work=cpu:500us,disk:2ms\n"
       "edge web db\n"
       "freeze db first=4s period=5s pause=900ms\n");
-  return cfg;
 }
 
-// Registry snapshot + run totals, rendered exactly as the bench's
-// fingerprint (bench/ext_graph_topologies.cc) so test and CI check the
-// same contract.
-template <typename System>
-std::string fingerprint(System& sys) {
+// Runs a chain-shaped config; returns its registry snapshot and totals.
+std::string chain_fingerprint(GraphConfig cfg) {
+  GraphSystem sys(std::move(cfg));
+  EXPECT_TRUE(is_chain(sys.config()));
+  sys.run();
   std::string out;
   char line[256];
   for (const auto& [name, value] : sys.registry().snapshot()) {
@@ -245,40 +238,75 @@ std::string fingerprint(System& sys) {
 }
 
 TEST(ChainEquivalence, ByteIdenticalToChainSystem) {
-  core::ChainSystem native(native_chain());
-  native.run();
-  GraphSystem asgraph(graph_chain());
-  ASSERT_TRUE(is_chain(asgraph.config()));
-  asgraph.run();
-  const std::string a = fingerprint(native);
-  const std::string b = fingerprint(asgraph);
-  EXPECT_GT(native.latency().vlrt_count(), 0u)
-      << "equivalence run too tame to be evidence";
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(chain_fingerprint(graph_chain("sync", "sync")),
+            "client.retransmits.total,217\n"
+            "db.backlog,0\n"
+            "db.busy_workers,19\n"
+            "db.headroom,209\n"
+            "sim.events.total,43014\n"
+            "sim.heap_depth,3002\n"
+            "web.backlog,0\n"
+            "web.busy_workers,20\n"
+            "web.headroom,258\n"
+            "web.retransmits.total,0\n"
+            "totals,completed=4726,vlrt=105,drops=217,events=43014\n");
 }
 
 TEST(ChainEquivalence, HoldsUnderTailPolicyAndFaults) {
-  auto ncfg = native_chain();
-  auto gcfg = graph_chain();
-  policy::TailPolicy pol;
-  pol.retry.max_attempts = 2;
-  pol.attempt_timeout = Duration::millis(500);
-  ncfg.tier_policy = pol;
-  gcfg.tier_policy = pol;
-  fault::FaultPlan plan;
+  auto cfg = graph_chain("sync", "sync");
+  cfg.tier_policy.retry.max_attempts = 2;
+  cfg.tier_policy.attempt_timeout = Duration::millis(500);
   fault::LinkDegradeWindow win;
   win.hop = 1;
   win.at = Time::from_seconds(6);
   win.duration = Duration::millis(300);
   win.loss_prob = 0.5;
-  plan.links.push_back(win);
-  ncfg.faults = plan;
-  gcfg.faults = plan;
-  core::ChainSystem native(std::move(ncfg));
-  native.run();
-  GraphSystem asgraph(std::move(gcfg));
-  asgraph.run();
-  EXPECT_EQ(fingerprint(native), fingerprint(asgraph));
+  cfg.faults.links.push_back(win);
+  EXPECT_EQ(chain_fingerprint(std::move(cfg)),
+            "client.retransmits.total,256\n"
+            "db.backlog,0\n"
+            "db.busy_workers,93\n"
+            "db.headroom,135\n"
+            "sim.events.total,48027\n"
+            "sim.heap_depth,3273\n"
+            "web.backlog,0\n"
+            "web.breaker_state,0\n"
+            "web.busy_workers,94\n"
+            "web.headroom,184\n"
+            "web.hedges.total,0\n"
+            "web.retransmits.total,76\n"
+            "web.retries.total,345\n"
+            "totals,completed=4631,vlrt=148,drops=256,events=48027\n");
+}
+
+TEST(ChainEquivalence, AsyncChainMatchesPin) {
+  EXPECT_EQ(chain_fingerprint(graph_chain("async", "async")),
+            "client.retransmits.total,0\n"
+            "db.backlog,0\n"
+            "db.busy_workers,189\n"
+            "db.headroom,65346\n"
+            "sim.events.total,41752\n"
+            "sim.heap_depth,3002\n"
+            "web.backlog,0\n"
+            "web.busy_workers,0\n"
+            "web.headroom,65345\n"
+            "web.retransmits.total,0\n"
+            "totals,completed=4587,vlrt=0,drops=0,events=41752\n");
+}
+
+TEST(ChainEquivalence, StagedFrontMatchesPin) {
+  EXPECT_EQ(chain_fingerprint(graph_chain("staged", "sync")),
+            "client.retransmits.total,0\n"
+            "db.backlog,0\n"
+            "db.busy_workers,0\n"
+            "db.headroom,228\n"
+            "sim.events.total,42986\n"
+            "sim.heap_depth,3002\n"
+            "web.backlog,0\n"
+            "web.busy_workers,0\n"
+            "web.headroom,846\n"
+            "web.retransmits.total,325\n"
+            "totals,completed=4678,vlrt=155,drops=325,events=42986\n");
 }
 
 // ---------------------------------------------------------------------

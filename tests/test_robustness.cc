@@ -2,10 +2,11 @@
 // random seeds, not just the default one.
 #include <gtest/gtest.h>
 
-#include "core/chain.h"
 #include "core/ctqo_analyzer.h"
 #include "core/experiment.h"
 #include "core/scenarios.h"
+#include "graph/graph_system.h"
+#include "graph/topology.h"
 
 namespace ntier::core {
 namespace {
@@ -77,29 +78,17 @@ TEST(Robustness, Fig12ShapeMonotone) {
 TEST(Robustness, ChainWithStagedTier) {
   // The chain builder accepts staged tiers; a staged front absorbs a
   // burst that overflows the sync front.
-  ChainConfig cfg;
-  ChainTierSpec front;
-  front.name = "front";
-  front.staged = true;
-  front.staged_cfg.ingress.queue_cap = 5000;
-  front.program_fn = relay_fn(Duration::micros(60), Duration::micros(40));
-  cfg.tiers.push_back(std::move(front));
-  ChainTierSpec leaf;
-  leaf.name = "leaf";
-  leaf.sync.threads_per_process = 400;
-  leaf.sync.backlog = 4000;
-  leaf.program_fn = leaf_fn(Duration::micros(500));
-  cfg.tiers.push_back(std::move(leaf));
-  cfg.workload.sessions = 5000;
-  cfg.duration = Duration::seconds(25);
-  cfg.freeze_tier = 1;
-  cfg.freeze.first = Time::from_seconds(8);
-  cfg.freeze.pause = Duration::millis(900);
-  cfg.freeze.period = Duration::seconds(60);
-  ChainSystem sys(cfg);
-  sys.run();
-  EXPECT_EQ(sys.tier(0)->stats().dropped, 0u);
-  EXPECT_GT(sys.clients().completed(), 10000u);
+  auto cfg = graph::parse_topology(
+      "sessions 5000\n"
+      "duration 25s\n"
+      "node front kind=staged work=cpu:60us,down,cpu:40us\n"
+      "node leaf  kind=sync threads=400 backlog=4000 work=cpu:500us\n"
+      "edge front leaf\n"
+      "freeze leaf first=8s period=60s pause=900ms\n");
+  cfg.nodes[0].staged_cfg.ingress.queue_cap = 5000;
+  auto sys = graph::run_graph(cfg);
+  EXPECT_EQ(sys->server(0)->stats().dropped, 0u);
+  EXPECT_GT(sys->clients().completed(), 10000u);
 }
 
 TEST(Robustness, ShedModeKeepsServerConserved) {
