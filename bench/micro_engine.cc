@@ -1,23 +1,17 @@
 // google-benchmark microbenchmarks of the simulation substrates: these
 // bound how much simulated time per wall-second the harness sustains.
 //
-// Three generations of the future-event list are compared in place:
-// the original lazy-cancellation std::priority_queue (LazyEventQueue),
-// the PR-5 indexed 4-ary heap (IndexedHeapEventQueue), and the live
-// timing-wheel sim::EventQueue. The CancelHeavy trio runs the
+// Every case runs the live engine. WheelCancelHeavy runs the
 // processor-sharing core's reschedule pattern (cancel the pending
-// completion event, push a new one) against each; the Dense pair runs
-// the homogeneous self-rescheduling timer mass the wheel was built for
-// (think times, RTOs, sampler ticks); FarTimer pins the beyond-horizon
-// heap fallback. scripts/run_benches.py records all of it into
-// BENCH_ntier.json.
+// completion event, push a new one); WheelDense runs the homogeneous
+// self-rescheduling timer mass the timing wheel was built for (think
+// times, RTOs, sampler ticks); FarTimer pins the beyond-horizon heap
+// fallback. scripts/run_benches.py records their absolute rates into
+// BENCH_ntier.json; EXPERIMENTS.md keeps the numbers of the retired
+// queue generations they replaced.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "cpu/host_core.h"
@@ -31,191 +25,14 @@ namespace {
 using namespace ntier;
 using sim::Duration;
 
-// The pre-indexed-heap EventQueue, verbatim in behaviour: a
-// std::priority_queue with shared-flag lazy cancellation — cancel() is
-// O(1) but dead entries stay in the heap until pop reaches them.
-class LazyEventQueue {
- public:
-  struct Handle {
-    std::shared_ptr<bool> done;
-    void cancel() { if (done) *done = true; }
-  };
-
-  Handle push(sim::Time when, sim::EventFn fn) {
-    auto done = std::make_shared<bool>(false);
-    heap_.push(Entry{when, next_seq_++, std::move(fn), done});
-    return Handle{std::move(done)};
-  }
-
-  bool pop_and_run() {
-    while (!heap_.empty() && *heap_.top().done) heap_.pop();
-    if (heap_.empty()) return false;
-    Entry e = heap_.top();
-    heap_.pop();
-    *e.done = true;
-    e.fn();
-    return true;
-  }
-
-  std::size_t size_upper_bound() const { return heap_.size(); }
-
- private:
-  struct Entry {
-    sim::Time when;
-    std::uint64_t seq;
-    sim::EventFn fn;
-    std::shared_ptr<bool> done;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::uint64_t next_seq_ = 0;
-};
-
-// The PR-5 generation, before the wheel front-end: every event lives
-// in one indexed 4-ary min-heap keyed by (when, seq), with
-// O(log n) erase-by-handle through a generation-checked slot table.
-// Reproduced here so the Dense and CancelHeavy cases measure exactly
-// what the timing wheel bought over its immediate predecessor.
-class IndexedHeapEventQueue {
- public:
-  struct Handle {
-    IndexedHeapEventQueue* q = nullptr;
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
-    void cancel() {
-      if (q != nullptr) q->do_cancel(slot, gen);
-    }
-  };
-
-  Handle push(sim::Time when, sim::EventFn fn) {
-    std::uint32_t slot;
-    if (free_head_ != kNil) {
-      slot = free_head_;
-      free_head_ = meta_[slot].pos;
-    } else {
-      slot = static_cast<std::uint32_t>(meta_.size());
-      meta_.emplace_back();
-      fns_.emplace_back();
-    }
-    meta_[slot].when = when.count_micros();
-    meta_[slot].seq = next_seq_++;
-    fns_[slot] = std::move(fn);
-    meta_[slot].pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(slot);
-    sift_up(meta_[slot].pos);
-    return Handle{this, slot, meta_[slot].gen};
-  }
-
-  bool pop_and_run() {
-    if (heap_.empty()) return false;
-    const std::uint32_t slot = heap_.front();
-    remove_at(0);
-    sim::EventFn fn = std::move(fns_[slot]);
-    release(slot);
-    fn();
-    return true;
-  }
-
-  std::int64_t next_time_micros() const {
-    return heap_.empty() ? std::numeric_limits<std::int64_t>::max()
-                         : meta_[heap_.front()].when;
-  }
-
-  bool empty() const { return heap_.empty(); }
-
- private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  struct Meta {
-    std::int64_t when = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t gen = 0;
-    std::uint32_t pos = kNil;  // heap index while live, next-free link after
-  };
-
-  void do_cancel(std::uint32_t slot, std::uint32_t gen) {
-    if (slot >= meta_.size() || meta_[slot].gen != gen) return;
-    remove_at(meta_[slot].pos);
-    fns_[slot] = sim::EventFn();
-    release(slot);
-  }
-
-  void release(std::uint32_t slot) {
-    ++meta_[slot].gen;
-    meta_[slot].pos = free_head_;
-    free_head_ = slot;
-  }
-
-  bool before(std::uint32_t a, std::uint32_t b) const {
-    if (meta_[a].when != meta_[b].when) return meta_[a].when < meta_[b].when;
-    return meta_[a].seq < meta_[b].seq;
-  }
-
-  void place(std::uint32_t pos, std::uint32_t slot) {
-    heap_[pos] = slot;
-    meta_[slot].pos = pos;
-  }
-
-  void sift_up(std::uint32_t pos) {
-    const std::uint32_t slot = heap_[pos];
-    while (pos > 0) {
-      const std::uint32_t parent = (pos - 1) / 4;
-      if (!before(slot, heap_[parent])) break;
-      place(pos, heap_[parent]);
-      pos = parent;
-    }
-    place(pos, slot);
-  }
-
-  void sift_down(std::uint32_t pos) {
-    const std::uint32_t slot = heap_[pos];
-    const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
-    for (;;) {
-      const std::uint32_t first = pos * 4 + 1;
-      if (first >= n) break;
-      std::uint32_t best = first;
-      const std::uint32_t end = first + 4 < n ? first + 4 : n;
-      for (std::uint32_t c = first + 1; c < end; ++c)
-        if (before(heap_[c], heap_[best])) best = c;
-      if (!before(heap_[best], slot)) break;
-      place(pos, heap_[best]);
-      pos = best;
-    }
-    place(pos, slot);
-  }
-
-  void remove_at(std::uint32_t pos) {
-    const std::uint32_t last = heap_.back();
-    heap_.pop_back();
-    if (pos == heap_.size()) return;
-    place(pos, last);
-    if (pos > 0 && before(last, heap_[(pos - 1) / 4]))
-      sift_up(pos);
-    else
-      sift_down(pos);
-  }
-
-  std::vector<std::uint32_t> heap_;  // heap of slot indices
-  std::vector<Meta> meta_;
-  std::vector<sim::EventFn> fns_;
-  std::uint32_t free_head_ = kNil;
-  std::uint64_t next_seq_ = 0;
-};
-
 // Cancel-heavy churn: 256 standing "timers" that are constantly
 // rescheduled (cancel + re-push) with an occasional pop — how every
 // tier server's next-completion event behaves under load.
-template <typename Queue, typename Handle>
-void cancel_heavy(benchmark::State& state) {
+void BM_WheelCancelHeavy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Queue q;
-    std::vector<Handle> slots(256);
+    sim::EventQueue q;
+    std::vector<sim::EventHandle> slots(256);
     sim::Rng rng(7);
     for (int i = 0; i < n; ++i) {
       auto& slot = slots[rng.next_u64() % 256];
@@ -229,29 +46,14 @@ void cancel_heavy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_CancelHeavy_LazyPQ(benchmark::State& state) {
-  cancel_heavy<LazyEventQueue, LazyEventQueue::Handle>(state);
-}
-BENCHMARK(BM_CancelHeavy_LazyPQ)->Arg(100000);
-
-void BM_CancelHeavy_IndexedHeap(benchmark::State& state) {
-  cancel_heavy<IndexedHeapEventQueue, IndexedHeapEventQueue::Handle>(state);
-}
-BENCHMARK(BM_CancelHeavy_IndexedHeap)->Arg(100000);
-
-void BM_WheelCancelHeavy(benchmark::State& state) {
-  cancel_heavy<sim::EventQueue, sim::EventHandle>(state);
-}
 BENCHMARK(BM_WheelCancelHeavy)->Arg(100000);
 
 // A self-rescheduling timer: each firing re-arms itself a small random
 // delay ahead, like think-time clocks, retransmission timers, and
 // sampler ticks do. Small enough (32 bytes) to stay inside the
-// queues' inline callback storage — no allocation per event.
-template <typename Queue>
+// queue's inline callback storage — no allocation per event.
 struct DenseTimer {
-  Queue* q;
+  sim::EventQueue* q;
   sim::Rng* rng;
   int* remaining;
   std::int64_t when;
@@ -267,44 +69,27 @@ struct DenseTimer {
 // level-0 distances. This is the wheel's design load — every push
 // lands O(1) in a near slot — and the workload behind the engine's
 // events-per-second headline.
-template <typename Queue>
-void dense_timers(benchmark::State& state) {
+void BM_WheelDense(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Queue q;
+    sim::EventQueue q;
     sim::Rng rng(11);
     int remaining = n;
     for (int i = 0; i < 256; ++i) {
       const std::int64_t when =
           1 + static_cast<std::int64_t>(rng.next_u64() % 250);
       q.push(sim::Time::from_micros(when),
-             DenseTimer<Queue>{&q, &rng, &remaining, when});
+             DenseTimer{&q, &rng, &remaining, when});
     }
-    if constexpr (requires(Queue& w, sim::Time& t) {
-                    w.run_next_tick(sim::Time::max(), t);
-                  }) {
-      // The batched per-tick driver the Simulation itself uses.
-      sim::Time now{};
-      while (q.run_next_tick(sim::Time::max(), now) > 0) {
-      }
-    } else {
-      while (q.pop_and_run()) {
-      }
+    // The batched per-tick driver the Simulation itself uses.
+    sim::Time now{};
+    while (q.run_next_tick(sim::Time::max(), now) > 0) {
     }
     benchmark::DoNotOptimize(remaining);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-
-void BM_WheelDense(benchmark::State& state) {
-  dense_timers<sim::EventQueue>(state);
-}
 BENCHMARK(BM_WheelDense)->Arg(1000000);
-
-void BM_HeapDense(benchmark::State& state) {
-  dense_timers<IndexedHeapEventQueue>(state);
-}
-BENCHMARK(BM_HeapDense)->Arg(1000000);
 
 // Far, irregular timers beyond the wheel horizon (>= 2^32 us out):
 // all of them take the indexed-heap fallback, so this pins the cost of

@@ -1,31 +1,22 @@
-// Hot-path allocation microbenchmarks: the before/after of the
-// zero-allocation engine work (docs/PERFORMANCE.md).
+// Hot-path allocation microbenchmarks of the zero-allocation engine
+// (docs/PERFORMANCE.md).
 //
-// The HotPath pair drives the same closed-loop request cycle — issue ->
+// HotPath_PooledInline drives a closed-loop request cycle — issue ->
 // admit -> service -> reply -> think, four scheduled closures per cycle —
-// through two substrates:
+// through the live engine: slab-pooled requests and server contexts
+// (sim/slab_pool.h) and InlineFn events (sim/inline_fn.h), so the warmed
+// steady state performs zero allocations per event — the property
+// tests/test_hotpath.cc asserts exactly. RequestChurn_Pooled isolates
+// the request lifecycle.
 //
-//   * LegacyAllocating replicates the pre-pooling engine: requests are
-//     shared_ptr (object + control block per request), events are
-//     std::function (heap-allocated once captures exceed the 16-byte
-//     libstdc++ small buffer; every closure here captures 32 bytes).
-//   * PooledInline is the current engine: slab-pooled requests
-//     (sim/slab_pool.h) and InlineFn events (sim/inline_fn.h), so the
-//     warmed steady state performs zero allocations per event — the
-//     property tests/test_hotpath.cc asserts exactly.
-//
-// scripts/run_benches.py records the pooled-over-legacy events/sec ratio
-// into BENCH_ntier.json; CI fails if it regresses below 2x.
+// scripts/run_benches.py records the pooled events/sec rate into
+// BENCH_ntier.json; with --baseline it fails when the rate drops more
+// than 25% below the committed one. EXPERIMENTS.md keeps the numbers of
+// the pre-pooling substrate this replaced.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "sim/simulation.h"
 #include "sim/slab_pool.h"
@@ -35,93 +26,32 @@ namespace {
 using namespace ntier;
 using sim::Duration;
 
-// The request payload, identical for both substrates so the measured
-// delta is purely allocation + refcount discipline.
+// The request payload a client issues and a server settles.
 struct BenchRequest {
   std::uint64_t id = 0;
   sim::Time issued;
   sim::Time completed;
-  // Mirrors server::Request::trace — present but empty when untraced.
-  std::vector<std::pair<std::string, sim::Time>> trace;
   bool failed = false;
 };
-
-// The pre-pooling scheduling substrate: the same (when, seq) heap
-// ordering as the engine, but with the seed's per-event costs — events
-// stored as std::function, and one shared_ptr<State> control block
-// allocated per push (the old EventHandle's cancellation state, which
-// this PR folded into the heap slots). The handle's pos-tracking
-// bookkeeping is elided — only its allocation/refcount cost is
-// reproduced. Pops move (no spurious copies).
-class LegacySim {
- public:
-  sim::Time now() const { return now_; }
-
-  void after(Duration d, std::function<void()> fn) {
-    auto state = std::make_shared<HandleState>();
-    state->owner = this;
-    heap_.push_back(Entry{now_ + d, seq_++, std::move(fn), std::move(state)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  std::uint64_t run_all() {
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Entry e = std::move(heap_.back());
-      heap_.pop_back();
-      now_ = e.when;
-      e.state->owner = nullptr;  // detach the handle, as the seed did
-      e.fn();
-      ++executed_;
-    }
-    return executed_;
-  }
-
-  std::uint64_t events_executed() const { return executed_; }
-
- private:
-  struct HandleState {
-    void* owner = nullptr;
-    std::size_t pos = 0;
-  };
-  struct Entry {
-    sim::Time when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<HandleState> state;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::vector<Entry> heap_;
-  sim::Time now_ = sim::Time::origin();
-  std::uint64_t seq_ = 0;
-  std::uint64_t executed_ = 0;
-};
+using ReqPtr = sim::PoolRef<BenchRequest>;
 
 constexpr int kSessions = 64;
 constexpr int kCycles = 200;  // request cycles per session per iteration
 
 // Per-admission server context, as every tier server keeps (program
-// counter + the in-flight request): make_shared per admission before
-// this PR, slab slot after.
-template <class ReqPtr>
+// counter + the in-flight request), in a slab slot.
 struct BenchCtx {
   ReqPtr req;
   std::size_t pc = 0;
 };
+using CtxPtr = sim::PoolRef<BenchCtx>;
 
-// Closed-loop driver shared by both substrates. Every closure captures
-// {this, handle, s} = 32 bytes: heap for std::function, inline for
-// InlineFn.
-template <class SimT, class ReqPtr, class CtxPtr, class MakeReq, class MakeCtx>
+// Closed-loop driver. Every closure captures {this, handle, s} = 32
+// bytes, inside InlineFn's inline storage.
 struct ClosedLoop {
-  SimT& sim;
-  MakeReq make_req;
-  MakeCtx make_ctx;
+  sim::Simulation& sim;
+  sim::SlabPool<BenchRequest>& req_pool;
+  sim::SlabPool<BenchCtx>& ctx_pool;
   std::array<int, kSessions> cycles_left{};
   std::uint64_t next_id = 1;
   std::uint64_t settled = 0;
@@ -134,13 +64,13 @@ struct ClosedLoop {
     }
   }
   void issue(std::size_t s) {
-    ReqPtr req = make_req();
+    ReqPtr req = req_pool.make();
     req->id = next_id++;
     req->issued = sim.now();
     sim.after(Duration::micros(200), [this, req, s] { admit(req, s); });
   }
   void admit(const ReqPtr& req, std::size_t s) {
-    CtxPtr ctx = make_ctx();
+    CtxPtr ctx = ctx_pool.make();
     ctx->req = req;
     sim.after(Duration::micros(100), [this, ctx, s] { complete(ctx, s); });
   }
@@ -157,39 +87,16 @@ struct ClosedLoop {
   }
 };
 
-void BM_HotPath_LegacyAllocating(benchmark::State& state) {
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    LegacySim sim;
-    auto mk = [] { return std::make_shared<BenchRequest>(); };
-    using Req = std::shared_ptr<BenchRequest>;
-    auto mc = [] { return std::make_shared<BenchCtx<Req>>(); };
-    ClosedLoop<LegacySim, Req, std::shared_ptr<BenchCtx<Req>>, decltype(mk),
-               decltype(mc)>
-        loop{sim, mk, mc};
-    loop.start();
-    events += sim.run_all();
-    benchmark::DoNotOptimize(loop.settled);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_HotPath_LegacyAllocating);
-
 void BM_HotPath_PooledInline(benchmark::State& state) {
-  // The pool outlives the iterations: after the first one it is warmed
-  // to the loop's high-water mark and stays allocation-free — the state
-  // every long simulation reaches.
+  // The pools outlive the iterations: after the first one they are
+  // warmed to the loop's high-water mark and stay allocation-free — the
+  // state every long simulation reaches.
   sim::SlabPool<BenchRequest> pool;
-  using Req = sim::PoolRef<BenchRequest>;
-  sim::SlabPool<BenchCtx<Req>> ctx_pool;
+  sim::SlabPool<BenchCtx> ctx_pool;
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulation sim;
-    auto mk = [&pool] { return pool.make(); };
-    auto mc = [&ctx_pool] { return ctx_pool.make(); };
-    ClosedLoop<sim::Simulation, Req, sim::PoolRef<BenchCtx<Req>>, decltype(mk),
-               decltype(mc)>
-        loop{sim, mk, mc};
+    ClosedLoop loop{sim, pool, ctx_pool};
     loop.start();
     sim.run_all();
     events += sim.events_executed();
@@ -199,19 +106,7 @@ void BM_HotPath_PooledInline(benchmark::State& state) {
 }
 BENCHMARK(BM_HotPath_PooledInline);
 
-// Request lifecycle alone (no event queue): shared_ptr allocation per
-// request vs warmed LIFO slot recycling.
-void BM_RequestChurn_SharedPtr(benchmark::State& state) {
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    auto r = std::make_shared<BenchRequest>();
-    r->id = ++id;
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RequestChurn_SharedPtr);
-
+// Request lifecycle alone (no event queue): warmed LIFO slot recycling.
 void BM_RequestChurn_Pooled(benchmark::State& state) {
   sim::SlabPool<BenchRequest> pool;
   std::uint64_t id = 0;

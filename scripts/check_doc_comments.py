@@ -16,7 +16,8 @@ Enforced rules, per header file:
       related members, but an undocumented group is an error.
 
 Usage: scripts/check_doc_comments.py [DIR ...]
-Default audit set: src/sim src/core src/sweep src/graph src/obs.
+Default audit set: src/sim src/core src/net src/sweep src/graph src/obs
+src/trace.
 Exit status 0 when every header passes, 1 otherwise (one line per
 violation: file:line: symbol).
 """
@@ -26,7 +27,7 @@ import re
 import sys
 
 DEFAULT_DIRS = ["src/sim", "src/core", "src/net", "src/sweep", "src/graph",
-                "src/obs"]
+                "src/obs", "src/trace"]
 
 # Namespace-scope lines that are structure, not symbols to document.
 SKIP_RE = re.compile(

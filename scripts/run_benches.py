@@ -9,43 +9,20 @@ summing the simulation events it executed across all of its runs
 (bench/bench_util.h, class BenchPerf). This script runs each binary,
 scrapes that line, and writes one aggregate JSON report — the repo's
 engine-throughput record (BENCH_ntier.json, uploaded as a CI artifact).
-Schema ntier.bench/5 adds the service-graph study
-(ext_graph_topologies) to the roster and a top-level "graph" section
-scraped from its machine-readable `[graph]` lines: the diamond CTQO
-verdict, the deep-chain drop counts, and the hedging-crossover operating
-points (its chain-equivalence match bit has since moved into the pinned
-ChainEquivalence ctest fingerprints). Schema ntier.bench/6 adds the
-online-detection study (ext_incident_detection) and a top-level "obs"
-section scraped from its `[obs]` lines: detection latency vs. the first
-VLRT, precision/recall against the offline CTQO episodes, the retroactive
-flight-dump window, and the online-vs-verdict agreement bits
-(docs/OBSERVABILITY.md). Schema ntier.bench/7 adds the protocol-matrix
-study (ext_protocol_matrix) and a top-level "proto" section scraped
-from its `[proto]` lines: per-point visible/hidden/absent CTQO verdicts
-across protocol × workload × NX, plus the headline expectations
-(fixed3s visible, linux_modern hidden, erpc absent — docs/PROTOCOLS.md)
-pulled out as their own pass/fail. Schema ntier.bench/8 adds the
-"micro_wheel" section for the hierarchical timing-wheel engine
-(bench/micro_engine.cc): dense self-rescheduling timer throughput of
-the wheel vs. the indexed-heap predecessor (wheel_over_heap_dense
-speedup), the wheel's cancel-heavy churn rate, and the beyond-horizon
-FarTimer fallback rate. Discovery is automatic, so the schema tag is
-the record that the roster — and therefore the totals — changed.
+The study benches' machine-readable lines land in top-level sections:
+"graph" (`[graph]` lines of ext_graph_topologies), "obs" (`[obs]` lines
+of ext_incident_detection, with its online-vs-offline verdict) and
+"proto" (`[proto]` lines of ext_protocol_matrix, with its headline
+verdicts). The schema tag changes whenever the report layout or the
+bench roster changes.
 
-The report also carries three microbench sections:
+The report also carries two microbench sections, absolute rates of the
+live engine:
 
-  * "micro_engine" — the event-queue CancelHeavy lineage comparison
-    (bench/micro_engine.cc): items/s of the old lazy-cancellation
-    priority_queue vs. a replica of the PR-5 indexed 4-ary heap, plus
-    the indexed_over_lazy speedup ratio.
-  * "micro_wheel" — the timing-wheel generation (bench/micro_engine.cc):
-    WheelDense/HeapDense events/s, WheelCancelHeavy items/s, and
-    FarTimer events/s, plus the wheel_over_heap_dense speedup ratio.
-  * "micro_hotpath" — the allocation-discipline comparison
-    (bench/micro_hotpath.cc): events/s of the pre-pooling substrate
-    (shared_ptr requests/contexts + std::function events + per-push
-    handle control block) vs. the current slab-pooled/InlineFn engine,
-    plus the pooled_over_legacy speedup ratio (expected >= 2x).
+  * "micro_wheel" — bench/micro_engine.cc: WheelDense events/s,
+    WheelCancelHeavy items/s and FarTimer events/s.
+  * "micro_hotpath" — bench/micro_hotpath.cc: HotPath_PooledInline
+    events/s.
 
 Usage: scripts/run_benches.py [--build-dir build] [--out BENCH_ntier.json]
                               [--only SUBSTR] [--list] [--baseline FILE]
@@ -55,8 +32,9 @@ Usage: scripts/run_benches.py [--build-dir build] [--out BENCH_ntier.json]
   --only SUBSTR     run only benches whose name contains SUBSTR
   --list            print the discovered bench binaries and exit
   --baseline FILE   committed BENCH_ntier.json to compare against: any
-                    scenario bench or microbench losing more than 25%
-                    events/s vs. the baseline fails the run (CI gate)
+                    scenario bench losing more than 25% events/s, or any
+                    rate in MICRO_CHECKS losing more than 25%, vs. the
+                    baseline fails the run (CI gate)
 
 Exit status: 0 when every selected bench ran, produced a [perf] line
 (microbench sections parsed), and no baseline regression was detected;
@@ -157,52 +135,36 @@ def run_one(bench_dir: str, name: str) -> dict:
     return result
 
 
-def run_micro_engine(bench_dir: str) -> dict:
-    """Old-vs-new event-queue comparison from the CancelHeavy benchmarks."""
-    path = os.path.join(bench_dir, "micro_engine")
-    if not (os.path.isfile(path) and os.access(path, os.X_OK)):
-        return {"ok": False, "error": "micro_engine binary not found"}
-    try:
-        proc = subprocess.run(
-            [path, "--benchmark_filter=CancelHeavy", "--benchmark_format=json"],
-            capture_output=True, text=True, timeout=600, check=False,
-        )
-    except subprocess.TimeoutExpired:
-        return {"ok": False, "error": "timeout"}
-    if proc.returncode != 0:
-        return {"ok": False, "error": f"exit {proc.returncode}"}
-    try:
-        data = json.loads(proc.stdout)
-    except ValueError:
-        return {"ok": False, "error": "unparsable google-benchmark JSON"}
-    rates = {}
-    for b in data.get("benchmarks", []):
-        name = b.get("name", "")
-        rate = b.get("items_per_second")
-        if "CancelHeavy_LazyPQ" in name:
-            rates["lazy_pq_items_per_s"] = rate
-        elif "CancelHeavy_IndexedHeap" in name:
-            rates["indexed_heap_items_per_s"] = rate
-    lazy = rates.get("lazy_pq_items_per_s")
-    indexed = rates.get("indexed_heap_items_per_s")
-    if not lazy or not indexed:
-        return {"ok": False, "error": "CancelHeavy benchmarks missing from output"}
-    return {
-        "ok": True,
-        "lazy_pq_items_per_s": round(lazy),
-        "indexed_heap_items_per_s": round(indexed),
-        "indexed_over_lazy": round(indexed / lazy, 3),
-    }
+# Microbench sections: binary, google-benchmark filter, and the
+# benchmark name -> report key of each rate the section records.
+MICRO_SECTIONS = {
+    "micro_wheel": ("micro_engine", "WheelDense|WheelCancelHeavy|FarTimer", {
+        "BM_WheelDense": "wheel_dense_events_per_s",
+        "BM_WheelCancelHeavy": "wheel_cancel_heavy_items_per_s",
+        "BM_FarTimer": "far_timer_events_per_s",
+    }),
+    "micro_hotpath": ("micro_hotpath", "HotPath", {
+        "BM_HotPath_PooledInline": "pooled_events_per_s",
+    }),
+}
+
+# Microbench rates the baseline comparison gates, as section.key.
+MICRO_CHECKS = (
+    "micro_wheel.wheel_dense_events_per_s",
+    "micro_wheel.wheel_cancel_heavy_items_per_s",
+    "micro_hotpath.pooled_events_per_s",
+)
 
 
-def run_micro_wheel(bench_dir: str) -> dict:
-    """Timing-wheel generation: dense/cancel-heavy/far-timer rates."""
-    path = os.path.join(bench_dir, "micro_engine")
+def run_micro(bench_dir: str, section: str) -> dict:
+    """Runs one microbench section; its rates are items/s, rounded."""
+    binary, bench_filter, keys = MICRO_SECTIONS[section]
+    path = os.path.join(bench_dir, binary)
     if not (os.path.isfile(path) and os.access(path, os.X_OK)):
-        return {"ok": False, "error": "micro_engine binary not found"}
+        return {"ok": False, "error": f"{binary} binary not found"}
     try:
         proc = subprocess.run(
-            [path, "--benchmark_filter=Dense|WheelCancelHeavy|FarTimer",
+            [path, f"--benchmark_filter={bench_filter}",
              "--benchmark_format=json"],
             capture_output=True, text=True, timeout=600, check=False,
         )
@@ -216,99 +178,39 @@ def run_micro_wheel(bench_dir: str) -> dict:
         return {"ok": False, "error": "unparsable google-benchmark JSON"}
     rates = {}
     for b in data.get("benchmarks", []):
-        name = b.get("name", "")
-        rate = b.get("items_per_second")
-        if "WheelDense" in name:
-            rates["wheel_dense_events_per_s"] = rate
-        elif "HeapDense" in name:
-            rates["heap_dense_events_per_s"] = rate
-        elif "WheelCancelHeavy" in name:
-            rates["wheel_cancel_heavy_items_per_s"] = rate
-        elif "FarTimer" in name:
-            rates["far_timer_events_per_s"] = rate
-    wheel = rates.get("wheel_dense_events_per_s")
-    heap = rates.get("heap_dense_events_per_s")
-    cancel = rates.get("wheel_cancel_heavy_items_per_s")
-    far = rates.get("far_timer_events_per_s")
-    if not wheel or not heap or not cancel or not far:
-        return {"ok": False, "error": "wheel benchmarks missing from output"}
-    return {
-        "ok": True,
-        "wheel_dense_events_per_s": round(wheel),
-        "heap_dense_events_per_s": round(heap),
-        "wheel_cancel_heavy_items_per_s": round(cancel),
-        "far_timer_events_per_s": round(far),
-        "wheel_over_heap_dense": round(wheel / heap, 3),
-    }
-
-
-def run_micro_hotpath(bench_dir: str) -> dict:
-    """Pooled-vs-legacy allocation comparison from the HotPath benchmarks."""
-    path = os.path.join(bench_dir, "micro_hotpath")
-    if not (os.path.isfile(path) and os.access(path, os.X_OK)):
-        return {"ok": False, "error": "micro_hotpath binary not found"}
-    try:
-        proc = subprocess.run(
-            [path, "--benchmark_filter=HotPath", "--benchmark_format=json"],
-            capture_output=True, text=True, timeout=600, check=False,
-        )
-    except subprocess.TimeoutExpired:
-        return {"ok": False, "error": "timeout"}
-    if proc.returncode != 0:
-        return {"ok": False, "error": f"exit {proc.returncode}"}
-    try:
-        data = json.loads(proc.stdout)
-    except ValueError:
-        return {"ok": False, "error": "unparsable google-benchmark JSON"}
-    rates = {}
-    for b in data.get("benchmarks", []):
-        name = b.get("name", "")
-        rate = b.get("items_per_second")
-        if "HotPath_LegacyAllocating" in name:
-            rates["legacy_events_per_s"] = rate
-        elif "HotPath_PooledInline" in name:
-            rates["pooled_events_per_s"] = rate
-    legacy = rates.get("legacy_events_per_s")
-    pooled = rates.get("pooled_events_per_s")
-    if not legacy or not pooled:
-        return {"ok": False, "error": "HotPath benchmarks missing from output"}
-    return {
-        "ok": True,
-        "legacy_events_per_s": round(legacy),
-        "pooled_events_per_s": round(pooled),
-        "pooled_over_legacy": round(pooled / legacy, 3),
-    }
+        key = keys.get(b.get("name", "").split("/")[0])
+        if key and b.get("items_per_second"):
+            rates[key] = round(b["items_per_second"])
+    missing = [k for k in keys.values() if k not in rates]
+    if missing:
+        return {"ok": False, "error": "missing from output: " + ", ".join(missing)}
+    return {"ok": True, **rates}
 
 
 # Events/s may lose at most this fraction vs. the committed baseline.
 REGRESSION_TOLERANCE = 0.25
 
 
-def find_regressions(report: dict, baseline: dict) -> list:
-    """Names of benches whose events/s regressed beyond the tolerance."""
-    floor = 1.0 - REGRESSION_TOLERANCE
-    base_rates = {
-        b["name"]: b["events_per_s"]
-        for b in baseline.get("benches", [])
-        if b.get("ok") and b.get("events_per_s")
-    }
-    for section, key in (("micro_engine", "indexed_heap_items_per_s"),
-                         ("micro_wheel", "wheel_dense_events_per_s"),
-                         ("micro_hotpath", "pooled_events_per_s")):
-        sec = baseline.get(section)
-        if sec and sec.get("ok") and sec.get(key):
-            base_rates[section] = sec[key]
-    new_rates = {
+def gated_rates(report: dict) -> dict:
+    """Bench name -> events/s, plus each MICRO_CHECKS rate by section.key."""
+    rates = {
         b["name"]: b["events_per_s"]
         for b in report.get("benches", [])
         if b.get("ok") and b.get("events_per_s")
     }
-    for section, key in (("micro_engine", "indexed_heap_items_per_s"),
-                         ("micro_wheel", "wheel_dense_events_per_s"),
-                         ("micro_hotpath", "pooled_events_per_s")):
+    for check in MICRO_CHECKS:
+        section, key = check.split(".")
         sec = report.get(section)
         if sec and sec.get("ok") and sec.get(key):
-            new_rates[section] = sec[key]
+            rates[check] = sec[key]
+    return rates
+
+
+def find_regressions(report: dict, baseline: dict) -> list:
+    """Names of the gated rates that regressed beyond the tolerance."""
+    floor = 1.0 - REGRESSION_TOLERANCE
+    base_rates = gated_rates(baseline)
+    new_rates = gated_rates(report)
     regressions = []
     for name, new in sorted(new_rates.items()):
         old = base_rates.get(name)
@@ -336,9 +238,9 @@ def main() -> int:
     if args.list:
         print("\n".join(names))
         return 0
-    want_micro = args.only in "micro_engine"
-    want_hotpath = args.only in "micro_hotpath"
-    if not names and not want_micro and not want_hotpath:
+    micro_wanted = [sec for sec, (binary, _, _) in MICRO_SECTIONS.items()
+                    if args.only in binary]
+    if not names and not micro_wanted:
         print(f"error: no bench binaries match {args.only!r} under {bench_dir}")
         return 1
 
@@ -353,39 +255,15 @@ def main() -> int:
             print(f"  FAILED: {r['error']}")
         results.append(r)
 
-    micro = None
-    wheel = None
-    if want_micro:
-        print("running micro_engine (CancelHeavy old-vs-new heap) ...", flush=True)
-        micro = run_micro_engine(bench_dir)
-        if micro["ok"]:
-            print(f"  lazy_pq={micro['lazy_pq_items_per_s']}/s "
-                  f"indexed_heap={micro['indexed_heap_items_per_s']}/s "
-                  f"speedup={micro['indexed_over_lazy']}x")
+    micro = {}
+    for section in micro_wanted:
+        print(f"running {MICRO_SECTIONS[section][0]} ({section}) ...", flush=True)
+        micro[section] = run_micro(bench_dir, section)
+        if micro[section]["ok"]:
+            print("  " + " ".join(f"{k}={v}/s" for k, v in micro[section].items()
+                                  if k != "ok"))
         else:
-            print(f"  FAILED: {micro['error']}")
-        print("running micro_engine (timing-wheel dense/cancel/far) ...",
-              flush=True)
-        wheel = run_micro_wheel(bench_dir)
-        if wheel["ok"]:
-            print(f"  wheel_dense={wheel['wheel_dense_events_per_s']}/s "
-                  f"heap_dense={wheel['heap_dense_events_per_s']}/s "
-                  f"speedup={wheel['wheel_over_heap_dense']}x "
-                  f"cancel_heavy={wheel['wheel_cancel_heavy_items_per_s']}/s "
-                  f"far_timer={wheel['far_timer_events_per_s']}/s")
-        else:
-            print(f"  FAILED: {wheel['error']}")
-
-    hotpath = None
-    if want_hotpath:
-        print("running micro_hotpath (pooled-vs-legacy allocation) ...", flush=True)
-        hotpath = run_micro_hotpath(bench_dir)
-        if hotpath["ok"]:
-            print(f"  legacy={hotpath['legacy_events_per_s']}/s "
-                  f"pooled={hotpath['pooled_events_per_s']}/s "
-                  f"speedup={hotpath['pooled_over_legacy']}x")
-        else:
-            print(f"  FAILED: {hotpath['error']}")
+            print(f"  FAILED: {micro[section]['error']}")
 
     # The service-graph study section: every [graph] record from
     # ext_graph_topologies (diamond verdict, deep-chain drops, hedging
@@ -441,24 +319,18 @@ def main() -> int:
 
     ok = [r for r in results if r["ok"]]
     report = {
-        "schema": "ntier.bench/8",
+        "schema": "ntier.bench/9",
         "benches": results,
         "graph": graph,
         "obs": obs,
         "proto": proto,
-        "micro_engine": micro,
-        "micro_wheel": wheel,
-        "micro_hotpath": hotpath,
+        "micro_wheel": micro.get("micro_wheel"),
+        "micro_hotpath": micro.get("micro_hotpath"),
         "total_events": sum(r["events"] for r in ok),
         "total_wall_s": round(sum(r["wall_s"] for r in ok), 3),
         "failed": [r["name"] for r in results if not r["ok"]],
     }
-    if micro is not None and not micro["ok"]:
-        report["failed"].append("micro_engine")
-    if wheel is not None and not wheel["ok"]:
-        report["failed"].append("micro_wheel")
-    if hotpath is not None and not hotpath["ok"]:
-        report["failed"].append("micro_hotpath")
+    report["failed"] += [sec for sec, r in micro.items() if not r["ok"]]
     if graph is not None and not graph["ok"]:
         report["failed"].append("graph-study-records")
     if obs is not None and not obs["ok"]:

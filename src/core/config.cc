@@ -100,13 +100,8 @@ void validate(const ExperimentConfig& cfg) {
     if (!why.empty()) reject(cfg.name, std::string(where) + ": " + why);
   }
 
-  if (cfg.trace.mode == trace::TraceMode::kSampled && cfg.trace.sample_every_n == 0)
-    reject(cfg.name, "trace: sample_every_n must be positive in sampled mode");
-  if (cfg.trace.mode != trace::TraceMode::kOff && cfg.trace.max_traces == 0)
-    reject(cfg.name, "trace: max_traces must be positive when tracing is on");
-  if (cfg.trace.mode == trace::TraceMode::kVlrtOnly &&
-      cfg.trace.vlrt_threshold <= sim::Duration::zero())
-    reject(cfg.name, "trace: vlrt_threshold must be positive in vlrt-only mode");
+  const std::string trace_why = trace::invalid_reason(cfg.trace);
+  if (!trace_why.empty()) reject(cfg.name, trace_why);
 
   const std::string fault_why = fault::invalid_reason(cfg.faults);
   if (!fault_why.empty()) reject(cfg.name, fault_why);

@@ -112,7 +112,6 @@ struct WorkloadConfig {
   net::RtoPolicy client_rto = net::RtoPolicy::fixed3s();
   sim::Duration client_link = sim::Duration::micros(300);
   sim::Time measure_from = sim::Time::from_seconds(0.0);
-  bool trace_requests = false;
   // Browser-style timeout (0 = none).
   sim::Duration client_timeout = sim::Duration::zero();
   // Navigate pages via the RUBBoS Markov session model instead of

@@ -136,7 +136,6 @@ void NTierSystem::build_workload() {
   cc.mean_think = w.mean_think;
   cc.rto = w.client_rto;
   cc.link = net::Link{w.client_link};
-  cc.trace_requests = w.trace_requests;
   cc.measure_from = w.measure_from;
   cc.timeout = w.client_timeout;
   cc.policy = w.client_policy;

@@ -8,7 +8,7 @@ DvfsGovernor::DvfsGovernor(sim::Simulation& sim, HostCpu& host, Config cfg)
     : sim_(sim), host_(host), cfg_(cfg), nominal_(host.n_cores()), freq_(cfg.start_freq) {
   apply(freq_);
   last_busy_ = host_.total_busy_core_seconds();
-  sim_.after(cfg_.interval, [this] { tick(); }, sim::SchedClass::kTimer);
+  sim_.after(cfg_.interval, [this] { tick(); });
 }
 
 DvfsGovernor::DvfsGovernor(sim::Simulation& sim, HostCpu& host)
@@ -32,7 +32,7 @@ void DvfsGovernor::tick() {
   } else if (util < cfg_.down_threshold && freq_ > cfg_.min_freq) {
     apply(freq_ - cfg_.step);
   }
-  sim_.after(cfg_.interval, [this] { tick(); }, sim::SchedClass::kTimer);
+  sim_.after(cfg_.interval, [this] { tick(); });
 }
 
 double DvfsGovernor::throttled_seconds() const {
@@ -48,13 +48,13 @@ double DvfsGovernor::throttled_seconds() const {
 
 FreezeInjector::FreezeInjector(sim::Simulation& sim, VmCpu* vm, Config cfg)
     : sim_(sim), vm_(vm), cfg_(cfg) {
-  sim_.at(cfg_.first, [this] { fire(); }, sim::SchedClass::kTimer);
+  sim_.at(cfg_.first, [this] { fire(); });
 }
 
 void FreezeInjector::fire() {
   pauses_.push_back(sim_.now());
   vm_->freeze_for(cfg_.pause);
-  sim_.after(cfg_.period, [this] { fire(); }, sim::SchedClass::kTimer);
+  sim_.after(cfg_.period, [this] { fire(); });
 }
 
 }  // namespace ntier::cpu

@@ -126,8 +126,7 @@ void HostCpu::on_completion_event() {
 void VmCpu::submit(sim::Duration demand, JobDoneFn done) {
   host_.advance();
   if (demand <= sim::Duration::zero()) {
-    host_.sim_.after(sim::Duration::zero(), std::move(done),
-                     sim::SchedClass::kImmediate);
+    host_.sim_.after(sim::Duration::zero(), std::move(done));
     return;
   }
   jobs_.push(Job{attained_ + demand.to_seconds(), host_.next_seq_++, std::move(done)});

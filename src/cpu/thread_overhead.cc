@@ -20,8 +20,7 @@ struct GcState {
 void tick(const std::shared_ptr<GcState>& st) {
   const auto pause = st->model.gc_pause(st->busy());
   if (pause > sim::Duration::zero()) st->vm->freeze_for(pause);
-  st->sim->after(st->model.gc_interval, [st] { tick(st); },
-                 sim::SchedClass::kTimer);
+  st->sim->after(st->model.gc_interval, [st] { tick(st); });
 }
 
 }  // namespace
@@ -31,7 +30,7 @@ void arm_gc(sim::Simulation& sim, VmCpu& vm, const ThreadOverheadModel& model,
   if (model.gc_interval <= sim::Duration::zero()) return;
   auto st = std::make_shared<GcState>(
       GcState{&sim, &vm, model, std::move(busy_threads)});
-  sim.after(model.gc_interval, [st] { tick(st); }, sim::SchedClass::kTimer);
+  sim.after(model.gc_interval, [st] { tick(st); });
 }
 
 }  // namespace ntier::cpu

@@ -108,11 +108,11 @@ void FaultInjector::arm() {
         targets_.tiers[c.tier]->set_down(true,
                                          c.in_flight == CrashWindow::InFlight::kAbort);
       }
-    }, sim::SchedClass::kTimer);
+    });
     sim_.at(c.at + c.down_for, [this, c] {
       ++counters_.restarts;
       if (--down_depth_[c.tier] == 0) targets_.tiers[c.tier]->set_down(false);
-    }, sim::SchedClass::kTimer);
+    });
   }
 
   for (const auto& l : plan_.links) {
@@ -122,10 +122,10 @@ void FaultInjector::arm() {
       // restores when the last window ends.
       ++degraded_depth_[l.hop];
       targets_.hops[l.hop]->link().degrade(l.loss_prob, l.extra_latency, &rng_);
-    }, sim::SchedClass::kTimer);
+    });
     sim_.at(l.at + l.duration, [this, l] {
       if (--degraded_depth_[l.hop] == 0) targets_.hops[l.hop]->link().restore();
-    }, sim::SchedClass::kTimer);
+    });
   }
 
   for (const auto& s : plan_.slow_nodes) {
@@ -136,11 +136,11 @@ void FaultInjector::arm() {
       // Overlapping slow windows compose as the most recent factor of
       // the original capacity (not multiplicative stacking).
       host->set_capacity(base_capacity_[s.tier] * s.speed_factor);
-    }, sim::SchedClass::kTimer);
+    });
     sim_.at(s.at + s.duration, [this, s] {
       if (--slow_depth_[s.tier] == 0)
         targets_.hosts[s.tier]->set_capacity(base_capacity_[s.tier]);
-    }, sim::SchedClass::kTimer);
+    });
   }
 }
 

@@ -467,6 +467,8 @@ std::string invalid_reason(const GraphConfig& cfg) {
   if (!bad.empty()) return why("tier_policy: " + bad);
   bad = fault::invalid_reason(cfg.faults);
   if (!bad.empty()) return why(bad);
+  bad = trace::invalid_reason(cfg.trace);
+  if (!bad.empty()) return why(bad);
 
   // Fault indices address flattened replicas; hop 0 is the client link.
   int flat = 0;

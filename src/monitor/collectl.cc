@@ -4,7 +4,7 @@ namespace ntier::monitor {
 
 Collectl::Collectl(sim::Simulation& sim, cpu::IoDevice* target, Config cfg)
     : sim_(sim), target_(target), cfg_(cfg) {
-  sim_.at(cfg_.first_flush, [this] { flush(); }, sim::SchedClass::kTimer);
+  sim_.at(cfg_.first_flush, [this] { flush(); });
 }
 
 Collectl::Collectl(sim::Simulation& sim, cpu::IoDevice* target)
@@ -13,8 +13,7 @@ Collectl::Collectl(sim::Simulation& sim, cpu::IoDevice* target)
 void Collectl::flush() {
   flushes_.push_back(sim_.now());
   target_->submit(cfg_.bytes_per_flush, [this] { ++done_; });
-  sim_.after(cfg_.flush_period, [this] { flush(); },
-             sim::SchedClass::kTimer);
+  sim_.after(cfg_.flush_period, [this] { flush(); });
 }
 
 sim::Duration Collectl::flush_occupancy() const {

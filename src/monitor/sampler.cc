@@ -51,7 +51,7 @@ void Sampler::add_tick_hook(std::function<void(sim::Time)> hook) {
 void Sampler::start() {
   if (started_) return;
   started_ = true;
-  sim_.after(window_, [this] { tick(); }, sim::SchedClass::kTimer);
+  sim_.after(window_, [this] { tick(); });
 }
 
 void Sampler::tick() {
@@ -96,7 +96,7 @@ void Sampler::tick() {
   // Tick hooks (online detectors) run inside this event, after the
   // window is fully materialized — they add no events of their own.
   for (const auto& hook : hooks_) hook(wstart);
-  sim_.after(window_, [this] { tick(); }, sim::SchedClass::kTimer);
+  sim_.after(window_, [this] { tick(); });
 }
 
 const metrics::Timeline& Sampler::series(std::string_view name) const {

@@ -14,8 +14,7 @@ void Transport::send(AttemptFn attempt, ResultFn on_result,
   attempt_at(std::move(p), link_.sample());
 }
 
-void Transport::attempt_at(MessagePtr p, sim::Duration delay,
-                           sim::SchedClass klass) {
+void Transport::attempt_at(MessagePtr p, sim::Duration delay) {
   sim_.after(delay, [this, p] {
     ++p->attempts;
     // A degraded link may lose the packet in flight; the sender cannot
@@ -47,8 +46,8 @@ void Transport::attempt_at(MessagePtr p, sim::Duration delay,
     ++stats_.retransmits;
     p->retrans_delay += rto;
     if (p->on_retransmit) p->on_retransmit(sim_.now(), rto, p->attempts);
-    attempt_at(p, rto + link_.sample(), sim::SchedClass::kTimer);
-  }, klass);
+    attempt_at(p, rto + link_.sample());
+  });
 }
 
 }  // namespace ntier::net

@@ -44,12 +44,10 @@ class Transport {
   Link& link() { return link_; }
 
  private:
-  // Schedules the next delivery attempt. The first attempt rides the
-  // sampled link latency (kAuto); RTO-driven retransmissions pass
-  // kTimer — they are exactly the homogeneous 3 s/ladder timer mass the
-  // timing wheel absorbs.
-  void attempt_at(MessagePtr p, sim::Duration delay,
-                  sim::SchedClass klass = sim::SchedClass::kAuto);
+  // Schedules the next delivery attempt `delay` from now: the sampled
+  // link latency for the first attempt, RTO + link latency for each
+  // retransmission.
+  void attempt_at(MessagePtr p, sim::Duration delay);
 
   sim::Simulation& sim_;
   RtoPolicy rto_;

@@ -21,13 +21,11 @@ bool AsyncServer::do_offer(Job job) {
   note_offer();
   if (in_system_ >= cfg_.lite_q_depth) {
     note_drop();
-    job.req->stamp(name_, ":drop", sim_.now());
     trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
                   sim_.now(), /*detail=*/0);
     return false;
   }
   note_accept();
-  job.req->stamp(name_, ":admit", sim_.now());
   CtxPtr ctx = ctx_pool().make();
   ctx->prog = &program_for(*job.req);
   ctx->job = std::move(job);
@@ -82,7 +80,6 @@ void AsyncServer::pump() {
 void AsyncServer::run_step(const CtxPtr& ctx) {
   if (ctx->pc >= ctx->prog->size()) {
     note_reply();
-    ctx->job.req->stamp(name_, ":reply", sim_.now());
     trace_close(ctx->job.req, ctx->hop, sim_.now());
     ctx->job.reply(ctx->job.req);
     release_slot();

@@ -1,9 +1,10 @@
-// Requests and the micro-level event trace.
+// Requests and their trace context.
 //
 // A Request is created by a client, traverses the tier chain, and flows
 // back. Per the paper's methodology, "all the messages exchanged between
-// servers are timestamped" — the trace records every admission, drop,
-// and completion so experiments can do micro-level event analysis.
+// servers are timestamped": a sampled request carries a span tree
+// (trace/span.h) that records every admission, queue wait, service
+// step, drop and reply, so experiments can do micro-level event analysis.
 //
 // Requests are slab-pooled (sim/slab_pool.h): RequestPtr is an
 // intrusively refcounted PoolRef, so the steady-state issue/settle cycle
@@ -17,7 +18,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/inline_fn.h"
 #include "sim/slab_pool.h"
@@ -60,23 +60,6 @@ struct Request {
   // Brownout: a tier under pressure marked the request for the cheap
   // degraded response; every tier skips its kDownstream steps for it.
   bool degraded = false;
-
-  // Micro-level event trace (enabled per experiment; costs memory).
-  struct Stamp {
-    std::string where;  // "apache:admit", "tomcat:drop", "client:send", ...
-    sim::Time at;
-  };
-  std::vector<Stamp> trace;
-  bool tracing = false;
-
-  void stamp(std::string where, sim::Time at) {
-    if (tracing) trace.push_back(Stamp{std::move(where), at});
-  }
-  // Two-piece form: the "<tier>:<event>" label is concatenated only when
-  // the micro-trace is on, so untraced hot paths do no string work.
-  void stamp(const std::string& prefix, const char* suffix, sim::Time at) {
-    if (tracing) trace.push_back(Stamp{prefix + suffix, at});
-  }
 
   // --- distributed-tracing span tree (see trace/span.h) ------------------
   // Null unless the run's Tracer sampled this request. The tree is the

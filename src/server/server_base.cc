@@ -123,7 +123,6 @@ bool Server::offer(Job job) {
     // unacked packet as a full accept queue — it retransmits per its RTO.
     note_offer();
     ++stats_.refused_down;
-    job.req->stamp(name_, ":refused", sim_.now());
     trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
                   sim_.now(), /*detail=*/1);
     note_drop();
@@ -137,12 +136,10 @@ bool Server::offer(Job job) {
     ++stats_.expired;
     job.req->failed = true;
     job.req->deadline_expired = true;
-    job.req->stamp(name_, ":expired", sim_.now());
     trace_instant(job.req, trace::SpanKind::kDeadlineCancel, name_,
                   job.parent_span, sim_.now());
     auto jr = job_pool().make(std::move(job));
-    sim_.after(sim::Duration::zero(), [jr] { jr->reply(jr->req); },
-               sim::SchedClass::kImmediate);
+    sim_.after(sim::Duration::zero(), [jr] { jr->reply(jr->req); });
     return true;
   }
   if (overload_ != nullptr) {
@@ -156,7 +153,6 @@ bool Server::offer(Job job) {
         // skips its downstream steps for a degraded request.
         if (!job.req->degraded) {
           job.req->degraded = true;
-          job.req->stamp(name_, ":degraded", sim_.now());
           trace_instant(job.req, trace::SpanKind::kBrownout, name_,
                         job.parent_span, sim_.now());
         }
@@ -166,7 +162,6 @@ bool Server::offer(Job job) {
         if (overload_->policy().shed_mode == ShedMode::kTcpDrop) {
           // Paper baseline: refuse the packet like a full accept queue;
           // the sender's TCP stack retransmits per its RTO.
-          job.req->stamp(name_, ":shed_drop", sim_.now());
           trace_instant(job.req, trace::SpanKind::kOverloadShed, name_,
                         job.parent_span, sim_.now(), /*detail=*/1);
           note_drop();
@@ -187,7 +182,6 @@ void Server::set_down(bool down, bool abort_queued_work) {
 void Server::abort_job(Job job) {
   ++stats_.aborted;
   job.req->failed = true;
-  job.req->stamp(name_, ":aborted", sim_.now());
   // The aborted job still gets a (failure) reply, preserving the
   // conservation invariant accepted == completed + in-system.
   note_reply();
@@ -197,15 +191,13 @@ void Server::abort_job(Job job) {
 void Server::shed_job(Job job, bool accepted, int detail) {
   job.req->failed = true;
   job.req->overload_shed = true;
-  job.req->stamp(name_, ":shed", sim_.now());
   trace_instant(job.req, trace::SpanKind::kOverloadShed, name_, job.parent_span,
                 sim_.now(), detail);
   if (accepted) note_reply();
   // The canned rejection is produced without a worker but still crosses
   // the wire; reply off this stack frame after a token service cost.
   auto jr = job_pool().make(std::move(job));
-  sim_.after(sim::Duration::micros(50), [jr] { jr->reply(jr->req); },
-             sim::SchedClass::kTimer);
+  sim_.after(sim::Duration::micros(50), [jr] { jr->reply(jr->req); });
 }
 
 void Server::dispatch_downstream(const RequestPtr& req, std::uint64_t parent_span,
@@ -286,8 +278,7 @@ void Server::dispatch_via(Route* route, const RequestPtr& req,
     ++stats_.failed;
     trace_instant(req, trace::SpanKind::kDeadlineCancel, st->site, st->ds_span,
                   sim_.now());
-    sim_.after(sim::Duration::zero(), [this, st] { st->unwind(sim_.now()); },
-               sim::SchedClass::kImmediate);
+    sim_.after(sim::Duration::zero(), [this, st] { st->unwind(sim_.now()); });
     return;
   }
   if (!governor_->allow_send()) {
@@ -297,8 +288,7 @@ void Server::dispatch_via(Route* route, const RequestPtr& req,
     ++stats_.failed;
     trace_instant(req, trace::SpanKind::kBreakerReject, st->site, st->ds_span,
                   sim_.now());
-    sim_.after(sim::Duration::zero(), [this, st] { st->unwind(sim_.now()); },
-               sim::SchedClass::kImmediate);
+    sim_.after(sim::Duration::zero(), [this, st] { st->unwind(sim_.now()); });
     return;
   }
 
@@ -319,7 +309,7 @@ void Server::dispatch_via(Route* route, const RequestPtr& req,
         trace_instant(st->req, trace::SpanKind::kHedge, st->site, st->ds_span,
                       sim_.now(), /*detail=*/i);
         send_attempt(st, /*is_hedge=*/true);
-      }, sim::SchedClass::kTimer);
+      });
     }
   }
 }
@@ -399,7 +389,7 @@ void Server::send_attempt(const StPtr& st, bool is_hedge) {
       // The timed-out attempt stays in flight downstream (its work is not
       // recalled); if it lands before the retry it still wins via `st`.
       retry_or_fail(ga->st);
-    }, sim::SchedClass::kTimer);
+    });
   }
 }
 
@@ -442,7 +432,7 @@ void Server::retry_or_fail(const StPtr& st) {
     ++st->attempts;
     ++st->req->app_retries;
     send_attempt(st, /*is_hedge=*/false);
-  }, sim::SchedClass::kTimer);
+  });
 }
 
 void Server::fail_dispatch(const StPtr& st) {

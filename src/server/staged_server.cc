@@ -24,13 +24,11 @@ bool StagedServer::do_offer(Job job) {
   note_offer();
   if (ingress_q_.size() >= cfg_.ingress.queue_cap) {
     note_drop();
-    job.req->stamp(name_, ":drop", sim_.now());
     trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
                   sim_.now(), /*detail=*/0);
     return false;
   }
   note_accept();
-  job.req->stamp(name_, ":admit", sim_.now());
   CtxPtr ctx = ctx_pool().make();
   ctx->prog = &program_for(*job.req);
   ctx->job = std::move(job);
@@ -148,7 +146,6 @@ void StagedServer::run_step(const CtxPtr& ctx, bool continuation_stage) {
 
 void StagedServer::finish(const CtxPtr& ctx, bool continuation_stage) {
   note_reply();
-  ctx->job.req->stamp(name_, ":reply", sim_.now());
   trace_close(ctx->job.req, ctx->hop, sim_.now());
   ctx->job.reply(ctx->job.req);
   if (continuation_stage) {

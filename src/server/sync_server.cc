@@ -31,7 +31,6 @@ bool SyncServer::do_offer(Job job) {
   note_offer();
   if (busy_ < threads_) {
     note_accept();
-    job.req->stamp(name_, ":admit", sim_.now());
     const std::uint64_t hop = trace_open(job.req, trace::SpanKind::kHop, name_,
                                          job.parent_span, sim_.now());
     start(std::move(job), hop);
@@ -40,7 +39,6 @@ bool SyncServer::do_offer(Job job) {
   const auto admit = accept_q_.try_admit(sim_.now());
   if (admit != net::TcpQueue::Admit::kDrop) {
     note_accept();
-    job.req->stamp(name_, ":backlog", sim_.now());
     Queued q;
     q.hop = trace_open(job.req, trace::SpanKind::kHop, name_, job.parent_span,
                        sim_.now());
@@ -58,17 +56,14 @@ bool SyncServer::do_offer(Job job) {
     // slot; the sender sees an accepted-and-answered request.
     ++shed_;
     job.req->failed = true;
-    job.req->stamp(name_, ":shed", sim_.now());
     trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
                   sim_.now(), /*detail=*/2);
     auto jr = job_pool().make(std::move(job));
-    sim_.after(sim::Duration::micros(50), [jr] { jr->reply(jr->req); },
-               sim::SchedClass::kTimer);
+    sim_.after(sim::Duration::micros(50), [jr] { jr->reply(jr->req); });
     check_spawn();
     return true;
   }
   note_drop();
-  job.req->stamp(name_, ":drop", sim_.now());
   trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
                 sim_.now(), /*detail=*/0);
   check_spawn();
@@ -174,7 +169,6 @@ void SyncServer::begin_downstream(const CtxPtr& ctx) {
 
 void SyncServer::finish(const CtxPtr& ctx) {
   note_reply();
-  ctx->job.req->stamp(name_, ":reply", sim_.now());
   trace_close(ctx->job.req, ctx->hop, sim_.now());
   ctx->job.reply(ctx->job.req);
   worker_freed();

@@ -64,22 +64,6 @@ namespace ntier::sim {
 // capture a PoolRef instead (see docs/PERFORMANCE.md).
 using EventFn = InlineFn<void()>;
 
-// Scheduling-class hint for Simulation::at/after call sites. Purely an
-// audited annotation: classification into wheel levels is automatic
-// (and identical for every hint), but the hint documents the intended
-// class at the call site.
-//   kAuto      — unclassified / irregular delay (link samples, service
-//                completions).
-//   kTimer     — homogeneous timer mass: think times, RTO/TLP ladders,
-//                sampler ticks, deadline/hedge/backoff/fault timers.
-//                Expected to land in a wheel level; a stochastic draw
-//                may legally round to zero delay, so the class is not
-//                delay-checked.
-//   kImmediate — zero-delay dispatch (checked in debug builds):
-//                appends to the currently draining tick's batch (O(1),
-//                no classification).
-enum class SchedClass : std::uint8_t { kAuto = 0, kTimer, kImmediate };
-
 class EventQueue;
 
 // Handle to a scheduled event: a POD {queue, slot, generation} triple

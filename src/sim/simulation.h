@@ -22,25 +22,17 @@ class Simulation {
   // Current simulated instant (starts at Time::origin()).
   Time now() const { return now_; }
 
-  // Schedules fn at an absolute instant (>= now()). The optional hint
-  // documents the call site's scheduling class (see sim::SchedClass);
-  // placement is identical for every hint. Debug builds check that
-  // kImmediate really is a same-instant dispatch; kTimer is a pure
-  // audited annotation (stochastic timer draws may legally round to
-  // zero delay).
-  EventHandle at(Time when, EventFn fn, SchedClass hint = SchedClass::kAuto) {
+  // Schedules fn at an absolute instant (>= now()). The queue places
+  // every event by its instant alone: a zero-delay event joins the
+  // currently draining tick, a timer lands in its wheel level.
+  EventHandle at(Time when, EventFn fn) {
     assert(when >= now_);
-    assert(hint != SchedClass::kImmediate || when == now_);
-    (void)hint;
     return queue_.push(when, std::move(fn));
   }
 
-  // Schedules fn after a non-negative delay (same hint semantics).
-  EventHandle after(Duration delay, EventFn fn,
-                    SchedClass hint = SchedClass::kAuto) {
+  // Schedules fn after a non-negative delay.
+  EventHandle after(Duration delay, EventFn fn) {
     assert(delay >= Duration::zero());
-    assert(hint != SchedClass::kImmediate || delay == Duration::zero());
-    (void)hint;
     return queue_.push(now_ + delay, std::move(fn));
   }
 

@@ -27,6 +27,7 @@
 
 namespace ntier::trace {
 
+// Retained span trees in completion order (Tracer::traces()).
 using TraceList = std::vector<TracePtr>;
 
 // Chrome trace_event JSON for all retained traces.

@@ -30,6 +30,7 @@
 
 namespace ntier::trace {
 
+// One request's latency partitioned into (kind, site) buckets.
 struct CriticalPath {
   // One (kind, site) bucket of attributed time, e.g. ("rto_gap",
   // "apache->tomcat"). Sorted by time, largest first.
@@ -40,6 +41,7 @@ struct CriticalPath {
     double share = 0.0;  // time / total
   };
 
+  // The attributed request, its end-to-end latency, and the buckets.
   std::uint64_t request_id = 0;
   sim::Duration total;       // root span duration == sum of all items
   std::vector<Item> items;

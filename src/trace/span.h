@@ -55,6 +55,7 @@ enum class SpanKind : std::uint8_t {
 // Stable lowercase name ("rto_gap", "service", ...) used in exports.
 const char* to_string(SpanKind k);
 
+// One slice of a request's lifetime: a node of its span tree.
 struct Span {
   std::uint64_t id = kNoSpan;      // index into RequestTrace::spans()
   std::uint64_t parent = kNoSpan;  // kNoSpan for the root span
@@ -70,6 +71,7 @@ struct Span {
   int detail = 0;
   bool closed_ = false;
 
+  // True once the span has an end instant.
   bool closed() const { return closed_; }
   // Duration of a closed span; zero for instants and unclosed spans.
   sim::Duration duration() const {
@@ -82,8 +84,11 @@ struct Span {
 // byte-identical exports.
 class RequestTrace {
  public:
+  // An empty tree for the request with this id (the client opens the
+  // root span next).
   explicit RequestTrace(std::uint64_t request_id) : request_id_(request_id) {}
 
+  // Id of the traced request (server::Request::id).
   std::uint64_t request_id() const { return request_id_; }
 
   // Opens a span; returns its id (pass to close()). `parent` may be
@@ -100,6 +105,7 @@ class RequestTrace {
   std::uint64_t instant(SpanKind kind, std::string site, std::uint64_t parent,
                         sim::Time at, int detail = 0);
 
+  // Every span, indexed by id (allocation order); true when none yet.
   const std::vector<Span>& spans() const { return spans_; }
   bool empty() const { return spans_.empty(); }
   // The root (first-opened) span. Undefined when empty().

@@ -12,6 +12,16 @@ const char* to_string(TraceMode m) {
   return "?";
 }
 
+std::string invalid_reason(const TraceConfig& cfg) {
+  if (cfg.mode == TraceMode::kSampled && cfg.sample_every_n == 0)
+    return "trace: sample_every_n must be positive in sampled mode";
+  if (cfg.mode != TraceMode::kOff && cfg.max_traces == 0)
+    return "trace: max_traces must be positive when tracing is on";
+  if (cfg.mode == TraceMode::kVlrtOnly && cfg.vlrt_threshold <= sim::Duration::zero())
+    return "trace: vlrt_threshold must be positive in vlrt-only mode";
+  return {};
+}
+
 TracePtr Tracer::begin(std::uint64_t request_id) {
   switch (cfg_.mode) {
     case TraceMode::kOff:

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/time.h"
@@ -29,6 +30,7 @@
 
 namespace ntier::trace {
 
+// Which requests record spans and which finished trees are kept.
 enum class TraceMode : std::uint8_t {
   kOff,       // no request carries a span tree (zero overhead)
   kAll,       // trace and retain everything
@@ -36,8 +38,10 @@ enum class TraceMode : std::uint8_t {
   kSampled,   // deterministic 1-in-N head sampling
 };
 
+// Lowercase mode name ("off", "all", "vlrt", "sampled").
 const char* to_string(TraceMode m);
 
+// Sampling mode and retention bounds of one run's Tracer.
 struct TraceConfig {
   TraceMode mode = TraceMode::kOff;
   // kSampled: trace ids with id % sample_every_n == 1 (ids start at 1,
@@ -49,10 +53,17 @@ struct TraceConfig {
   std::size_t max_traces = 200000;
 };
 
+// Human-readable reason a trace config is invalid; empty when fine.
+// Used by core::validate() and graph::validate().
+std::string invalid_reason(const TraceConfig& cfg);
+
+// One run's trace collector (see the file comment).
 class Tracer {
  public:
+  // A collector with no traces yet; `cfg` must pass invalid_reason().
   explicit Tracer(TraceConfig cfg) : cfg_(cfg) {}
 
+  // The sampling configuration; enabled() is false in kOff mode.
   const TraceConfig& config() const { return cfg_; }
   bool enabled() const { return cfg_.mode != TraceMode::kOff; }
 
@@ -78,6 +89,8 @@ class Tracer {
     return traces_;
   }
 
+  // Trees handed out by begin(); trees kept; kVlrtOnly completions
+  // below the threshold; finished trees lost to max_traces.
   std::uint64_t begun() const { return begun_; }
   std::uint64_t retained() const { return traces_.size(); }
   std::uint64_t discarded() const { return discarded_; }

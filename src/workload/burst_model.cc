@@ -10,14 +10,11 @@ BurstClock::BurstClock(sim::Simulation& sim, sim::Rng& rng, Config cfg)
 void BurstClock::schedule_flip() {
   const sim::Duration dwell =
       rng_.exp_duration(bursting_ ? cfg_.burst_dwell : cfg_.normal_dwell);
-  sim_.after(
-      dwell,
-      [this] {
-        bursting_ = !bursting_;
-        if (bursting_) burst_starts_.push_back(sim_.now());
-        schedule_flip();
-      },
-      sim::SchedClass::kTimer);
+  sim_.after(dwell, [this] {
+    bursting_ = !bursting_;
+    if (bursting_) burst_starts_.push_back(sim_.now());
+    schedule_flip();
+  });
 }
 
 sim::Duration draw_think(sim::Rng& rng, sim::Duration mean, const BurstClock* clock) {

@@ -57,14 +57,13 @@ void ClientPool::start() {
     // (exponential) think cycle, so the arrival process is stationary
     // from t=0 with no ramp-in overshoot.
     const auto phase = rng_.exp_duration(cfg_.mean_think);
-    sim_.after(phase, [this, s] { issue(s); }, sim::SchedClass::kTimer);
+    sim_.after(phase, [this, s] { issue(s); });
   }
 }
 
 void ClientPool::session_think(std::size_t session) {
   const auto think = draw_think(rng_, cfg_.mean_think, burst_);
-  sim_.after(think, [this, session] { issue(session); },
-             sim::SchedClass::kTimer);
+  sim_.after(think, [this, session] { issue(session); });
 }
 
 std::size_t ClientPool::pick_class(std::size_t session) {
@@ -78,7 +77,6 @@ std::size_t ClientPool::pick_class(std::size_t session) {
 // connection failure) and moves the session on.
 void ClientPool::settle(std::size_t session, const server::RequestPtr& r) {
   r->completed = sim_.now();
-  r->stamp("client:recv", sim_.now());
   if (r->traced()) {
     server::trace_close(r, server::trace_root(r), sim_.now());
     cfg_.tracer->finish(r->spans, r->latency());
@@ -105,8 +103,6 @@ void ClientPool::issue(std::size_t session) {
   req->id = next_id_++;
   req->class_index = pick_class(session);
   req->issued = sim_.now();
-  req->tracing = cfg_.trace_requests;
-  req->stamp("client:send", sim_.now());
   ++issued_;
   if (cfg_.tracer) {
     req->spans = cfg_.tracer->begin(req->id);
@@ -139,9 +135,8 @@ void ClientPool::issue(std::size_t session) {
       req->settled = true;
       ++timeouts_;
       req->failed = true;
-      req->stamp("client:timeout", sim_.now());
       settle(session, req);
-    }, sim::SchedClass::kTimer);
+    });
   }
 
   transport_.send(
@@ -171,7 +166,6 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
   if (!governor_->allow_send()) {
     // Breaker open: the request fails instantly, no packet is sent.
     req->failed = true;
-    req->stamp("client:breaker", sim_.now());
     server::trace_instant(req, trace::SpanKind::kBreakerReject, "client",
                           server::trace_root(req), sim_.now());
     fl->done = true;
@@ -185,9 +179,8 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
       fl->done = true;
       ++timeouts_;
       fl->req->failed = true;
-      fl->req->stamp("client:timeout", sim_.now());
       settle(fl->session, fl->req);
-    }, sim::SchedClass::kTimer);
+    });
   }
   if (req->has_deadline()) {
     // The deadline bounds the client's patience too: at expiry the
@@ -198,11 +191,10 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
       ++governor_->stats().deadline_cancels;
       fl->req->failed = true;
       fl->req->deadline_expired = true;
-      fl->req->stamp("client:deadline", sim_.now());
       server::trace_instant(fl->req, trace::SpanKind::kDeadlineCancel, "client",
                             server::trace_root(fl->req), sim_.now());
       settle(fl->session, fl->req);
-    }, sim::SchedClass::kTimer);
+    });
   }
 
   send_attempt(fl, /*is_hedge=*/false);
@@ -218,7 +210,7 @@ void ClientPool::issue_governed(std::size_t session, const server::RequestPtr& r
         server::trace_instant(fl->req, trace::SpanKind::kHedge, "client",
                               server::trace_root(fl->req), sim_.now(), /*detail=*/i);
         send_attempt(fl, /*is_hedge=*/true);
-      }, sim::SchedClass::kTimer);
+      });
     }
   }
 }
@@ -279,7 +271,7 @@ void ClientPool::send_attempt(const FlPtr& fl, bool is_hedge) {
       ga->concluded = true;
       governor_->on_outcome(false);
       retry_or_fail(ga->fl);
-    }, sim::SchedClass::kTimer);
+    });
   }
 }
 
@@ -315,9 +307,8 @@ void ClientPool::retry_or_fail(const FlPtr& fl) {
     }
     ++fl->attempts;
     ++fl->req->app_retries;
-    fl->req->stamp("client:retry", sim_.now());
     send_attempt(fl, /*is_hedge=*/false);
-  }, sim::SchedClass::kTimer);
+  });
 }
 
 void ClientPool::settle_failed(const FlPtr& fl) {

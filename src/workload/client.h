@@ -38,7 +38,6 @@ struct ClientConfig {
   sim::Duration mean_think = sim::Duration::seconds(7);
   net::RtoPolicy rto = net::RtoPolicy::rhel6();
   net::Link link{};
-  bool trace_requests = false;
   // Completions before this instant are not reported (warm-up).
   sim::Time measure_from = sim::Time::origin();
   // Browser-style request timeout; zero disables. A timed-out request is

@@ -4,7 +4,7 @@ namespace ntier::workload {
 
 InterferenceLoad::InterferenceLoad(sim::Simulation& sim, cpu::VmCpu* vm, BatchConfig cfg)
     : sim_(sim), vm_(vm), batch_(cfg), batch_mode_(true), rng_(1) {
-  sim_.at(batch_.first_at, [this] { fire_batch(); }, sim::SchedClass::kTimer);
+  sim_.at(batch_.first_at, [this] { fire_batch(); });
 }
 
 InterferenceLoad::InterferenceLoad(sim::Simulation& sim, cpu::VmCpu* vm, sim::Rng rng,
@@ -20,8 +20,7 @@ void InterferenceLoad::fire_batch() {
     ++jobs_;
     vm_->submit(batch_.demand_per_job, [this] { ++done_; });
   }
-  sim_.after(batch_.period, [this] { fire_batch(); },
-             sim::SchedClass::kTimer);
+  sim_.after(batch_.period, [this] { fire_batch(); });
 }
 
 void InterferenceLoad::client_think(std::size_t idx) {
@@ -29,16 +28,13 @@ void InterferenceLoad::client_think(std::size_t idx) {
   // its burst state; the loop stays closed so the backlog on the bursty
   // VM is bounded by the client population.
   const auto think = draw_think(rng_, mmpp_.mean_think, clock_.get());
-  sim_.after(
-      think,
-      [this, idx] {
-        ++jobs_;
-        vm_->submit(mmpp_.demand_per_job, [this, idx] {
-          ++done_;
-          client_think(idx);
-        });
-      },
-      sim::SchedClass::kTimer);
+  sim_.after(think, [this, idx] {
+    ++jobs_;
+    vm_->submit(mmpp_.demand_per_job, [this, idx] {
+      ++done_;
+      client_think(idx);
+    });
+  });
 }
 
 }  // namespace ntier::workload

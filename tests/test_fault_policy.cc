@@ -363,6 +363,11 @@ TEST(Validate, RejectsBadConfigsDescriptively) {
   EXPECT_THROW(core::validate(bad), std::invalid_argument);
 
   bad = good;
+  bad.trace.mode = trace::TraceMode::kSampled;
+  bad.trace.sample_every_n = 0;
+  EXPECT_THROW(core::validate(bad), std::invalid_argument);
+
+  bad = good;
   fault::CrashWindow c;
   c.tier = 7;  // beyond the 3-tier system
   c.at = Time::from_seconds(1.0);

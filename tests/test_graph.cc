@@ -198,6 +198,24 @@ TEST(Validation, RejectsFreezeNodeOutOfRange) {
   EXPECT_NE(invalid_reason(cfg), "");
 }
 
+TEST(Validation, RejectsBadTraceConfig) {
+  auto cfg = two_node();
+  cfg.trace.mode = trace::TraceMode::kSampled;
+  cfg.trace.sample_every_n = 0;  // 1-in-0 sampling would divide by zero
+  EXPECT_NE(invalid_reason(cfg), "");
+  EXPECT_THROW(run_graph(cfg), std::invalid_argument);
+
+  cfg = two_node();
+  cfg.trace.mode = trace::TraceMode::kAll;
+  cfg.trace.max_traces = 0;
+  EXPECT_NE(invalid_reason(cfg), "");
+
+  cfg = two_node();
+  cfg.trace.mode = trace::TraceMode::kVlrtOnly;
+  cfg.trace.vlrt_threshold = Duration::zero();
+  EXPECT_NE(invalid_reason(cfg), "");
+}
+
 // ---------------------------------------------------------------------
 // Chain equivalence: a chain-shaped GraphConfig is wired with
 // connect_downstream front to back, with no balancers and no extra RNG

@@ -2,6 +2,9 @@
 // (DESIGN.md §6 invariants).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/ctqo_analyzer.h"
 #include "core/experiment.h"
 #include "core/scenarios.h"
@@ -15,9 +18,15 @@ using sim::Time;
 // --- Invariant 5: no millibottleneck => no VLRT, any arch x workload ----
 
 struct QuietCase {
+  QuietCase(Architecture a, std::size_t s) : arch(a), sessions(s) {}
   Architecture arch;
+  // gtest names each case after a byte dump of its param; spelling out
+  // what would otherwise be padding keeps stack garbage out of the names.
+  std::uint32_t zero = 0;
   std::size_t sessions;
 };
+static_assert(std::has_unique_object_representations_v<QuietCase>,
+              "QuietCase must have no padding bytes");
 
 class QuietSystem : public ::testing::TestWithParam<QuietCase> {};
 

@@ -1,13 +1,19 @@
-// Tests for the Markov session model, client timeouts, trace store /
+// Tests for the Markov session model, client timeouts, span-tree
 // per-hop breakdown, and the load-shedding admission alternative.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/experiment.h"
 #include "core/scenarios.h"
-#include "core/trace_analysis.h"
 #include "helpers.h"
-#include "monitor/trace_store.h"
 #include "server/sync_server.h"
+#include "trace/critical_path.h"
+#include "trace/tracer.h"
 #include "workload/client.h"
 #include "workload/session_model.h"
 
@@ -127,62 +133,98 @@ TEST(ClientTimeout, NoTimeoutsWhenFast) {
   EXPECT_EQ(sys->clients().timeouts(), 0u);
 }
 
-// --- TraceStore + trace analysis -------------------------------------------
+// --- span-tree micro analysis ----------------------------------------------
 
 TEST(TraceStore, SeparatesAnomalousFromNormal) {
-  monitor::TraceStore store(monitor::TraceStore::Config{.normal_capacity = 2});
-  auto mk = [](double lat_s, int drops) {
-    auto r = server::make_request();
-    r->issued = Time::origin();
-    r->completed = Time::from_seconds(lat_s);
-    r->total_drops = drops;
-    return r;
+  trace::Tracer tracer(trace::TraceConfig{.mode = trace::TraceMode::kVlrtOnly});
+  std::uint64_t id = 0;
+  auto finish = [&](double lat_s) {
+    const auto t = tracer.begin(++id);
+    ASSERT_TRUE(t);
+    const std::uint64_t root =
+        t->open(trace::SpanKind::kRequest, "client", trace::kNoSpan, Time::origin());
+    t->close(root, Time::from_seconds(lat_s));
+    tracer.finish(t, Duration::from_seconds(lat_s));
   };
-  store.record(mk(0.01, 0));
-  store.record(mk(0.01, 0));
-  store.record(mk(0.01, 0));  // over capacity: dropped from the sample
-  store.record(mk(3.5, 1));   // anomalous: always kept
-  store.record(mk(0.02, 1));  // dropped packet: anomalous even if fast
-  EXPECT_EQ(store.normal().size(), 2u);
-  EXPECT_EQ(store.anomalous().size(), 2u);
-  EXPECT_EQ(store.seen(), 5u);
+  finish(0.01);  // normal: discarded at completion
+  finish(3.5);   // VLRT: retained
+  finish(0.02);
+  finish(3.0);   // exactly at the VLRT line: retained
+  EXPECT_EQ(tracer.begun(), 4u);
+  EXPECT_EQ(tracer.retained(), 2u);
+  EXPECT_EQ(tracer.discarded(), 2u);
+  ASSERT_EQ(tracer.traces().size(), 2u);
+  EXPECT_EQ(tracer.traces()[0]->total(), Duration::millis(3500));
+  EXPECT_EQ(tracer.traces()[1]->total(), Duration::seconds(3));
 }
+
+// One tier's hop spans across a population: total, longest and count.
+struct HopAgg {
+  Duration sum;
+  Duration max;
+  std::int64_t n = 0;
+  Duration mean() const { return sum / n; }
+};
 
 TEST(TraceAnalysis, BreaksDownPerTier) {
   core::ExperimentConfig cfg = core::scenarios::fig3_consolidation_sync();
-  cfg.workload.trace_requests = true;
+  cfg.trace.mode = trace::TraceMode::kAll;
   cfg.duration = Duration::seconds(12);
-  core::NTierSystem sys(cfg);
-  monitor::TraceStore store;
-  sys.clients().on_complete(
-      [&](const server::RequestPtr& r) { store.record(r); });
-  sys.run();
+  auto sys = core::run_system(cfg);
 
-  const auto normal = core::analyze_traces(store.normal());
-  ASSERT_EQ(normal.hops.size(), 3u);
-  EXPECT_EQ(normal.hops[0].tier, "apache");
-  EXPECT_EQ(normal.hops[1].tier, "tomcat");
-  EXPECT_EQ(normal.hops[2].tier, "mysql");
-  // Nesting: an outer tier's span contains the inner ones (per-request;
+  // The CTQO signature splits the population: a VLRT request waited out
+  // a retransmission timeout somewhere, a normal one never did.
+  std::vector<const trace::RequestTrace*> normal, vlrt;
+  for (const auto& t : sys->tracer()->traces()) {
+    const auto& spans = t->spans();
+    const bool rto = std::any_of(spans.begin(), spans.end(), [](const trace::Span& s) {
+      return s.kind == trace::SpanKind::kRtoGap;
+    });
+    (rto ? vlrt : normal).push_back(t.get());
+  }
+
+  ASSERT_FALSE(normal.empty());
+  Duration outside;  // critical-path time outside every hop
+  std::vector<std::string> order;
+  std::map<std::string, HopAgg> hops;
+  for (const auto* t : normal) {
+    outside += trace::critical_path(*t).by_kind(trace::SpanKind::kRequest);
+    for (const auto& s : t->spans()) {
+      if (s.kind != trace::SpanKind::kHop) continue;
+      auto [it, fresh] = hops.try_emplace(s.site);
+      if (fresh) order.push_back(s.site);
+      it->second.sum += s.duration();
+      it->second.max = std::max(it->second.max, s.duration());
+      ++it->second.n;
+    }
+  }
+  const auto n_normal = static_cast<std::int64_t>(normal.size());
+  EXPECT_LT(outside / n_normal, Duration::millis(5));
+  ASSERT_EQ(order, (std::vector<std::string>{"apache", "tomcat", "mysql"}));
+  // Nesting: an outer tier's hop contains the inner ones (per request;
   // apache's *mean* can sit below tomcat's because static requests pull
   // it down, so compare tomcat/mysql means and the maxima).
-  EXPECT_GE(normal.hops[1].mean_in_tier, normal.hops[2].mean_in_tier);
-  EXPECT_GE(normal.hops[0].max_in_tier, normal.hops[1].max_in_tier);
-  EXPECT_LT(normal.mean_outside_tiers, Duration::millis(5));
+  EXPECT_GE(hops["tomcat"].mean(), hops["mysql"].mean());
+  EXPECT_GE(hops["apache"].max, hops["tomcat"].max);
 
-  const auto vlrt = core::analyze_traces(store.anomalous());
-  ASSERT_GT(vlrt.requests, 10u);
+  ASSERT_GT(vlrt.size(), 10u);
+  Duration rto;
+  for (const auto* t : vlrt) rto += trace::critical_path(*t).by_kind(trace::SpanKind::kRtoGap);
   // The VLRT population's latency lives OUTSIDE the tiers (RTO waits).
-  EXPECT_GT(vlrt.mean_outside_tiers, Duration::seconds(2));
-  EXPECT_FALSE(vlrt.to_table().empty());
+  EXPECT_GT(rto / static_cast<std::int64_t>(vlrt.size()), Duration::seconds(2));
 }
 
 TEST(TraceAnalysis, SkipsUntracedRequests) {
-  auto r = server::make_request();
-  r->issued = Time::origin();
-  r->completed = Time::from_seconds(1);
-  const auto out = core::analyze_traces({r});
-  EXPECT_EQ(out.requests, 0u);
+  // A request still in flight: its root never closed, so there is no
+  // end-to-end latency to attribute yet.
+  trace::RequestTrace t(1);
+  const std::uint64_t root =
+      t.open(trace::SpanKind::kRequest, "client", trace::kNoSpan, Time::origin());
+  t.add(trace::SpanKind::kHop, "apache", root, Time::from_seconds(0.001),
+        Time::from_seconds(0.002));
+  const auto out = trace::critical_path(t);
+  EXPECT_EQ(out.total, Duration::zero());
+  EXPECT_TRUE(out.items.empty());
 }
 
 // --- load shedding ----------------------------------------------------------

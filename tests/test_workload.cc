@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "helpers.h"
 #include "metrics/summary.h"
 #include "server/sync_server.h"
+#include "trace/tracer.h"
 #include "workload/burst_model.h"
 #include "workload/client.h"
 #include "workload/request_mix.h"
@@ -238,19 +241,28 @@ TEST(ClientPool, MeasureFromSkipsWarmup) {
 
 TEST(ClientPool, TracingStampsHops) {
   EchoServerFixture f;
+  trace::Tracer tracer(trace::TraceConfig{.mode = trace::TraceMode::kAll});
   ClientConfig cc;
   cc.sessions = 1;
   cc.mean_think = Duration::millis(10);
-  cc.trace_requests = true;
+  cc.tracer = &tracer;
   ClientPool clients(f.sim, sim::Rng(12), &f.profile, f.srv.get(), cc);
   server::RequestPtr seen;
   clients.on_complete([&](const server::RequestPtr& r) { if (!seen) seen = r; });
   clients.start();
   f.sim.run_until(Time::from_seconds(2));
   ASSERT_TRUE(seen);
-  ASSERT_GE(seen->trace.size(), 4u);
-  EXPECT_EQ(seen->trace.front().where, "client:send");
-  EXPECT_EQ(seen->trace.back().where, "client:recv");
+  ASSERT_TRUE(seen->traced());
+  const trace::Span& root = seen->spans->root();
+  EXPECT_EQ(root.kind, trace::SpanKind::kRequest);
+  EXPECT_EQ(root.site, "client");
+  EXPECT_TRUE(root.closed());
+  EXPECT_EQ(root.begin, seen->issued);
+  EXPECT_EQ(root.end, seen->completed);
+  const auto& spans = seen->spans->spans();
+  EXPECT_TRUE(std::any_of(spans.begin(), spans.end(), [&](const trace::Span& s) {
+    return s.parent == root.id && s.kind == trace::SpanKind::kHop;
+  }));
 }
 
 // --- request_mix predictions --------------------------------------------
