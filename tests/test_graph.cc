@@ -119,23 +119,23 @@ GraphConfig two_node() {
 TEST(Validation, RejectsCycle) {
   auto cfg = two_node();
   cfg.nodes[1].work.push_back({server::WorkStep::Kind::kDownstream, Duration::zero()});
-  cfg.edges.push_back({1, 0});
+  cfg.edges.push_back({1, 0, ""});
   EXPECT_NE(invalid_reason(cfg), "");
   EXPECT_THROW(validate(cfg), std::invalid_argument);
 }
 
 TEST(Validation, RejectsDanglingEdge) {
   auto cfg = two_node();
-  cfg.edges.push_back({1, 7});
+  cfg.edges.push_back({1, 7, ""});
   EXPECT_NE(invalid_reason(cfg), "");
 }
 
 TEST(Validation, RejectsSelfEdgeAndDuplicateEdge) {
   auto cfg = two_node();
-  cfg.edges.push_back({1, 1});
+  cfg.edges.push_back({1, 1, ""});
   EXPECT_NE(invalid_reason(cfg), "");
   cfg = two_node();
-  cfg.edges.push_back({0, 1});
+  cfg.edges.push_back({0, 1, ""});
   EXPECT_NE(invalid_reason(cfg), "");
 }
 
