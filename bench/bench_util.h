@@ -44,7 +44,7 @@
 #include "core/manifest.h"
 #include "core/report.h"
 #include "core/scenarios.h"
-#include "graph/graph_system.h"
+#include "core/testbed.h"
 #include "metrics/csv.h"
 #include "obs/incident_monitor.h"
 #include "report/dashboard.h"
@@ -176,9 +176,8 @@ class BenchPerf {
 // Closes the incident monitor's books after a run — pending retroactive
 // flight dump plus <name>.incident.json — and prints its report to
 // stdout. Call right after run(), before maybe_dashboard. No-op when
-// --incidents was not given. Works on any system exposing obs().
-template <typename System>
-inline void finalize_incidents(System& sys) {
+// --incidents was not given.
+inline void finalize_incidents(core::Testbed& sys) {
   obs::IncidentMonitor* om = sys.obs();
   if (om == nullptr) return;
   om->finalize(sys.simulation().now());
@@ -201,38 +200,27 @@ inline const obs::IncidentSummary* incidents_for_manifest(
 // file, plus the <name>.manifest.json sidecar. Byte-identical for a
 // fixed seed. With --incidents, fired incidents ride along into both
 // (markers/table in the dashboard, the "incidents" manifest block).
-inline void maybe_dashboard(core::NTierSystem& sys, const BenchFlags& flags) {
+inline void maybe_dashboard(const core::Testbed& sys, const BenchFlags& flags) {
   if (flags.dashboard_dir.empty()) return;
   const auto ctqo = core::analyze_ctqo(sys);
   const auto corr = core::correlate(sys);
   obs::IncidentSummary inc;
   const std::string path = report::write_dashboard(sys, ctqo, corr, flags.dashboard_dir,
-                                                   sys.config().name, sys.obs());
+                                                   sys.info().name, sys.obs());
   core::write_manifest(sys, flags.dashboard_dir, &ctqo,
                        incidents_for_manifest(sys.obs(), inc));
-  std::printf("wrote %s (%s)\n", path.c_str(), core::to_string(corr.propagation));
-}
-
-inline void maybe_dashboard(graph::GraphSystem& sys, const BenchFlags& flags) {
-  if (flags.dashboard_dir.empty()) return;
-  const auto ctqo = graph::analyze_ctqo(sys);
-  const auto corr = graph::correlate(sys);
-  obs::IncidentSummary inc;
-  const std::string path = report::write_dashboard(sys, ctqo, corr, flags.dashboard_dir,
-                                                   sys.config().name, sys.obs());
-  graph::write_manifest(sys, flags.dashboard_dir, &ctqo,
-                        incidents_for_manifest(sys.obs(), inc));
   std::printf("wrote %s (%s)\n", path.c_str(), core::to_string(corr.propagation));
 }
 
 // Post-run trace artifacts: writes the Chrome JSON + span CSV and prints
 // the per-VLRT attribution against the run's CTQO episodes. No-op when
 // tracing was off.
-inline void export_traces_for(trace::Tracer* tracer, const core::CtqoReport& report,
-                              const std::string& name, const BenchFlags& flags) {
+inline void export_traces(const core::Testbed& sys, const BenchFlags& flags) {
+  const trace::Tracer* tracer = sys.tracer();
+  if (tracer == nullptr) return;
   std::error_code ec;
   std::filesystem::create_directories(flags.out_dir, ec);
-  const std::string base = flags.out_dir + "/" + name;
+  const std::string base = flags.out_dir + "/" + sys.info().name;
   const std::string json_path = base + ".trace.json";
   const std::string csv_path = base + ".trace_spans.csv";
   const bool ok =
@@ -251,7 +239,7 @@ inline void export_traces_for(trace::Tracer* tracer, const core::CtqoReport& rep
     std::printf("FAILED writing trace artifacts under %s\n", flags.out_dir.c_str());
   }
 
-  const auto table = core::attribute_vlrt(tracer->traces(), report,
+  const auto table = core::attribute_vlrt(tracer->traces(), core::analyze_ctqo(sys),
                                           tracer->config().vlrt_threshold);
   std::puts(table.to_string().c_str());
 
@@ -264,18 +252,6 @@ inline void export_traces_for(trace::Tracer* tracer, const core::CtqoReport& rep
     std::puts(trace::critical_path(*tr).to_string().c_str());
     if (++shown >= 3) break;
   }
-}
-
-inline void export_traces(core::NTierSystem& sys, const BenchFlags& flags) {
-  trace::Tracer* tracer = sys.tracer();
-  if (tracer == nullptr) return;
-  export_traces_for(tracer, core::analyze_ctqo(sys), sys.config().name, flags);
-}
-
-inline void export_traces(graph::GraphSystem& sys, const BenchFlags& flags) {
-  trace::Tracer* tracer = sys.tracer();
-  if (tracer == nullptr) return;
-  export_traces_for(tracer, graph::analyze_ctqo(sys), sys.config().name, flags);
 }
 
 // Runs cfg and prints the standard three-panel figure layout:

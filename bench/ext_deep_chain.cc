@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       sys.run();
       std::uint64_t front = sys.server_flat(0)->stats().dropped;
       std::uint64_t other = sys.total_drops() - front;
-      const auto report = graph::analyze_ctqo(sys);
+      const auto report = core::analyze_ctqo(sys);
       std::string cascade = report.episodes.empty()
                                 ? "none"
                                 : report.episodes[0].to_string().substr(22, 40);

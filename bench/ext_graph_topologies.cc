@@ -66,7 +66,7 @@ void run_diamond(const bench::BenchFlags& flags, bench::BenchPerf& perf) {
   }
   std::puts("--- 1. diamond DAG (900 ms leaf freeze; drops walk both branches up) ---");
   std::puts(t.to_string().c_str());
-  const auto report = graph::analyze_ctqo(*sys);
+  const auto report = core::analyze_ctqo(*sys);
   if (!report.episodes.empty())
     std::puts(report.episodes[0].to_string().c_str());
   const char* verdict = report.episodes.empty()

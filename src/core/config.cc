@@ -21,13 +21,22 @@ namespace {
   throw std::invalid_argument("config '" + name + "': " + why);
 }
 
-void check_policy(const std::string& name, const char* where,
-                  const policy::TailPolicy& p) {
-  const std::string why = policy::invalid_reason(p);
-  if (!why.empty()) reject(name, std::string(where) + ": " + why);
-}
-
 }  // namespace
+
+std::string invalid_reason(const WorkloadConfig& w) {
+  if (w.sessions == 0) return "workload needs at least one session";
+  if (w.mean_think < sim::Duration::zero())
+    return "mean_think cannot be negative (zero = saturation test)";
+  if (w.burst_index < 1.0) return "burst_index below 1.0 is not a burst model";
+  if (w.client_link < sim::Duration::zero()) return "client_link latency cannot be negative";
+  if (w.client_timeout < sim::Duration::zero()) return "client_timeout cannot be negative";
+  if (w.client_timeout > sim::Duration::zero() && w.client_timeout < w.client_rto.rto(0))
+    return "client_timeout shorter than one retransmission timeout: every dropped first "
+           "packet would time out before TCP could retry";
+  const std::string why = policy::invalid_reason(w.client_policy);
+  if (!why.empty()) return "client_policy: " + why;
+  return {};
+}
 
 void apply_app_recovery(policy::TailPolicy& t, const net::ProtocolProfile& p) {
   if (p.transport != net::TransportKind::kUdpAppTimeout) return;
@@ -50,7 +59,6 @@ void apply_protocol(ExperimentConfig& cfg, const net::ProtocolProfile& p) {
 
 void validate(const ExperimentConfig& cfg) {
   const SystemConfig& s = cfg.system;
-  const WorkloadConfig& w = cfg.workload;
 
   if (cfg.duration <= sim::Duration::zero())
     reject(cfg.name, "duration must be positive");
@@ -71,25 +79,14 @@ void validate(const ExperimentConfig& cfg) {
   if (s.web_spawn_after <= sim::Duration::zero())
     reject(cfg.name, "web_spawn_after must be positive");
 
-  if (w.sessions == 0) reject(cfg.name, "workload needs at least one session");
-  if (w.mean_think < sim::Duration::zero())
-    reject(cfg.name, "mean_think cannot be negative (zero = saturation test)");
-  if (w.burst_index < 1.0)
-    reject(cfg.name, "burst_index below 1.0 is not a burst model");
-  if (w.client_link < sim::Duration::zero())
-    reject(cfg.name, "client_link latency cannot be negative");
-  if (w.client_timeout < sim::Duration::zero())
-    reject(cfg.name, "client_timeout cannot be negative");
-  if (w.client_timeout > sim::Duration::zero() && w.client_timeout < w.client_rto.rto(0))
-    reject(cfg.name,
-           "client_timeout shorter than one retransmission timeout: every "
-           "dropped first packet would time out before TCP could retry");
+  const std::string workload_why = invalid_reason(cfg.workload);
+  if (!workload_why.empty()) reject(cfg.name, workload_why);
 
   if (cfg.bottleneck.interference_weight <= 0.0)
     reject(cfg.name, "interference_weight must be positive");
 
-  check_policy(cfg.name, "client_policy", w.client_policy);
-  check_policy(cfg.name, "tier_policy", cfg.tier_policy);
+  const std::string tier_why = policy::invalid_reason(cfg.tier_policy);
+  if (!tier_why.empty()) reject(cfg.name, "tier_policy: " + tier_why);
 
   const struct { const char* where; const policy::overload::OverloadPolicy& p; }
       overloads[] = {{"overload.web", cfg.overload.web},

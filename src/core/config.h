@@ -123,6 +123,13 @@ struct WorkloadConfig {
   policy::TailPolicy client_policy{};
 };
 
+// Why `w` cannot drive a run, or "" when it can: no sessions, negative
+// think time (zero is the saturation test), a burst index below 1,
+// negative client link latency or timeout, a timeout shorter than the
+// first retransmission timeout, or an invalid client policy. Both
+// core::validate and graph::validate apply it.
+std::string invalid_reason(const WorkloadConfig& w);
+
 // Per-tier overload control (policy/overload/overload.h): admission
 // policy + queue discipline for each of the three tiers. Default all
 // kNone — no controller is constructed and the run is event-identical

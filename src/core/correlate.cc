@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/system.h"
+#include "core/testbed.h"
 
 namespace ntier::core {
 
@@ -126,17 +126,17 @@ std::string CorrelationReport::to_string() const {
   return out;
 }
 
-SignalSet collect_signals(const NTierSystem& sys) {
+SignalSet collect_signals(const Testbed& sys) {
   SignalSet s;
   s.registry = &sys.registry();
   s.vlrt = &sys.latency().vlrt_per_window();
   s.window = sys.sampler().window();
-  for (Tier t : {Tier::kWeb, Tier::kApp, Tier::kDb}) {
+  for (std::size_t f = 0; f < sys.flat_count(); ++f) {
     TierSignals ts;
-    ts.name = sys.tier(t)->name();
-    if (t == Tier::kDb && sys.db_disk() != nullptr)
-      ts.saturation.push_back(sys.db_disk()->name() + ".busy");
-    const std::string vm = sys.tier_vm(t)->name();
+    ts.name = sys.server_flat(f)->name();
+    if (const cpu::IoDevice* disk = sys.disk_flat(f))
+      ts.saturation.push_back(disk->name() + ".busy");
+    const std::string& vm = sys.vm_flat(f)->name();
     ts.saturation.push_back(vm + ".demand");
     ts.saturation.push_back(vm + ".stall");
     ts.dropped = ts.name + ".dropped";
@@ -263,7 +263,7 @@ CorrelationReport correlate_signals(const SignalSet& s, CorrelateOptions opt) {
   return rep;
 }
 
-CorrelationReport correlate(const NTierSystem& sys, CorrelateOptions opt) {
+CorrelationReport correlate(const Testbed& sys, CorrelateOptions opt) {
   return correlate_signals(collect_signals(sys), opt);
 }
 

@@ -49,7 +49,7 @@
 
 namespace ntier::core {
 
-class NTierSystem;
+class Testbed;
 
 // One lag-swept correlation: source leads target by `lag_windows`.
 struct LagCorrelation {
@@ -138,9 +138,8 @@ struct CorrelateOptions {
 };
 
 // Signal extraction (no analysis): names every per-tier saturation/queue/
-// drop series the 3-tier system publishes, in tier order (service graphs:
-// graph::collect_signals).
-SignalSet collect_signals(const NTierSystem& sys);
+// drop series a built system publishes, in flat tier order.
+SignalSet collect_signals(const Testbed& sys);
 
 // Adapts a SignalSet into the obs detector suite's per-tier series
 // groups — the same series the offline engine correlates are what the
@@ -153,8 +152,7 @@ std::vector<obs::SeriesGroup> detector_groups(const SignalSet& s);
 CorrelationReport correlate_signals(const SignalSet& s,
                                     CorrelateOptions opt = CorrelateOptions());
 
-// Convenience wrapper.
-CorrelationReport correlate(const NTierSystem& sys,
-                            CorrelateOptions opt = CorrelateOptions());
+// Convenience wrapper: correlate_signals(collect_signals(sys)).
+CorrelationReport correlate(const Testbed& sys, CorrelateOptions opt = CorrelateOptions());
 
 }  // namespace ntier::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/system.h"
+#include "core/testbed.h"
 
 namespace ntier::core {
 
@@ -65,14 +65,15 @@ std::string CtqoReport::to_string() const {
   return out;
 }
 
-CtqoReport analyze_tiers(const std::vector<TierView>& tiers,
-                         const monitor::Sampler& sampler, AnalyzerOptions opt) {
+CtqoReport analyze_ctqo(const Testbed& sys, AnalyzerOptions opt) {
   CtqoReport report;
+  const std::size_t n = sys.flat_count();
+  const monitor::Sampler& sampler = sys.sampler();
 
   // Gather all admission drops, tagged by tier index.
   std::vector<DropEvent> events;
-  for (std::size_t t = 0; t < tiers.size(); ++t) {
-    for (sim::Time at : tiers[t].server->drop_times())
+  for (std::size_t t = 0; t < n; ++t) {
+    for (sim::Time at : sys.server_flat(t)->drop_times())
       events.push_back({at, static_cast<int>(t)});
   }
   report.total_drops = events.size();
@@ -96,13 +97,13 @@ CtqoReport analyze_tiers(const std::vector<TierView>& tiers,
     ep.end = events[hi].at;
     ep.drops = hi - lo + 1;
     // Dominant drop tier of the cluster.
-    std::vector<std::uint64_t> per_tier(tiers.size(), 0);
+    std::vector<std::uint64_t> per_tier(n, 0);
     for (std::size_t i = lo; i <= hi; ++i) ++per_tier[events[i].tier];
     int best = 0;
-    for (std::size_t t = 1; t < tiers.size(); ++t)
+    for (std::size_t t = 1; t < n; ++t)
       if (per_tier[t] > per_tier[best]) best = static_cast<int>(t);
     ep.drop_tier = best;
-    ep.drop_tier_name = tiers[best].server->name();
+    ep.drop_tier_name = sys.server_flat(best)->name();
 
     // Millibottleneck: earliest tier whose VM demand or stall — or whose
     // disk — saturated in [start - lookback, end].
@@ -111,20 +112,20 @@ CtqoReport analyze_tiers(const std::vector<TierView>& tiers,
             ? ep.start - opt.lookback
             : sim::Time::origin();
     sim::Time best_at = sim::Time::max();
-    for (std::size_t t = 0; t < tiers.size(); ++t) {
-      const auto& view = tiers[t];
-      sim::Time at = sampler.series(view.vm_prefix + ".demand")
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::string& vm = sys.vm_flat(t)->name();
+      sim::Time at = sampler.series(vm + ".demand")
                          .first_time_at_least(opt.saturation_pct, from, ep.end);
-      at = std::min(at, sampler.series(view.vm_prefix + ".stall")
+      at = std::min(at, sampler.series(vm + ".stall")
                             .first_time_at_least(opt.saturation_pct, from, ep.end));
-      if (!view.disk_prefix.empty()) {
-        at = std::min(at, sampler.series(view.disk_prefix + ".busy")
+      if (const cpu::IoDevice* disk = sys.disk_flat(t)) {
+        at = std::min(at, sampler.series(disk->name() + ".busy")
                               .first_time_at_least(opt.saturation_pct, from, ep.end));
       }
       if (at < best_at) {
         best_at = at;
         ep.bottleneck_tier = static_cast<int>(t);
-        ep.bottleneck_name = view.vm_prefix;
+        ep.bottleneck_name = vm;
       }
     }
     if (best_at != sim::Time::max()) {
@@ -155,7 +156,7 @@ CtqoReport analyze_tiers(const std::vector<TierView>& tiers,
     if (!chain_ends) continue;
     const sim::Time cstart = eps[chain_begin].start;
     const sim::Time cend = eps[i - 1].end;
-    const std::string prefix = tiers[eps[chain_begin].drop_tier].server->name();
+    const std::string prefix = sys.server_flat(eps[chain_begin].drop_tier)->name();
     if (cend - cstart >= opt.storm_min_duration &&
         sampler.has_series(prefix + ".offered") &&
         sampler.has_series(prefix + ".completed")) {
@@ -284,19 +285,6 @@ VlrtAttributionTable attribute_vlrt(
     table.rows.push_back(std::move(row));
   }
   return table;
-}
-
-CtqoReport analyze_ctqo(NTierSystem& sys, AnalyzerOptions opt) {
-  std::vector<TierView> tiers;
-  for (int t = 0; t < 3; ++t) {
-    const Tier tier = static_cast<Tier>(t);
-    TierView v;
-    v.server = sys.tier(tier);
-    v.vm_prefix = sys.tier_vm(tier)->name();
-    if (tier == Tier::kDb) v.disk_prefix = "dbdisk";
-    tiers.push_back(std::move(v));
-  }
-  return analyze_tiers(tiers, sys.sampler(), opt);
 }
 
 }  // namespace ntier::core

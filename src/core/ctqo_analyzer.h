@@ -15,9 +15,9 @@
 // several RTOs — the metastable regime where retries stop being a
 // tail-latency cure and become the amplifier that sustains the CTQO.
 //
-// Works on the paper's 3-tier NTierSystem and, through the generic
-// tier-view entry point, on service graphs of any depth
-// (graph::analyze_ctqo, chain-shaped graphs included).
+// Works on any built system (core/testbed.h): the paper's 3-tier
+// NTierSystem and service graphs of any depth alike, reading the flat
+// front-to-back tier list.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +25,12 @@
 #include <string>
 #include <vector>
 
-#include "monitor/sampler.h"
-#include "server/server_base.h"
+#include "sim/time.h"
 #include "trace/critical_path.h"
 
 namespace ntier::core {
 
-class NTierSystem;
+class Testbed;
 
 // One drop cluster with its attributed millibottleneck: where packets
 // were lost, which tier was saturated just before, and which way the
@@ -104,21 +103,9 @@ struct AnalyzerOptions {
   double storm_amplification = 1.5;
 };
 
-// One analyzable tier: its server, the steady VM's sampler prefix, and
-// (optionally) the sampler prefix of an attached disk ("" = none).
-struct TierView {
-  server::Server* server = nullptr;
-  std::string vm_prefix;
-  std::string disk_prefix;
-};
-
-// Generic entry point over an ordered front-to-back tier list.
-CtqoReport analyze_tiers(const std::vector<TierView>& tiers,
-                         const monitor::Sampler& sampler,
-                         AnalyzerOptions opt = AnalyzerOptions());
-
-// Convenience for the paper's 3-tier system.
-CtqoReport analyze_ctqo(NTierSystem& sys, AnalyzerOptions opt = AnalyzerOptions());
+// Episode analysis of a finished run; tier indices in the report are
+// flat tier indices, front first.
+CtqoReport analyze_ctqo(const Testbed& sys, AnalyzerOptions opt = AnalyzerOptions());
 
 // --- per-VLRT attribution (closes the loop: VLRT -> episode -> tier) ----
 //

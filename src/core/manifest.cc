@@ -31,14 +31,13 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
-// Shared tail: totals from the latency collector + the registry's
-// scalar snapshot. Keys are emitted in a fixed order (snapshot() is
-// name-sorted), keeping the manifest byte-deterministic.
-void append_common(std::string& out, const monitor::LatencyCollector& lat,
-                   std::uint64_t total_drops, std::uint64_t events,
-                   const telemetry::Registry& reg,
-                   const CtqoReport* ctqo,
-                   const obs::IncidentSummary* incidents) {
+// The tail after the run identity: optional storm/incident blocks, the
+// run totals, and the registry's scalar snapshot. Keys are emitted in a
+// fixed order (snapshot() is name-sorted), keeping the manifest
+// byte-deterministic.
+void append_tail(std::string& out, const Testbed& sys, const CtqoReport* ctqo,
+                 const obs::IncidentSummary* incidents) {
+  const monitor::LatencyCollector& lat = sys.latency();
   // Storm aggregates ride along only when the analyzer flagged storms,
   // so storm-free manifests stay byte-identical to pre-report ones.
   if (ctqo != nullptr && ctqo->retry_storm_episodes > 0) {
@@ -80,12 +79,12 @@ void append_common(std::string& out, const monitor::LatencyCollector& lat,
   out += ",\n    \"failed\": ";
   append_u64(out, lat.failed_count());
   out += ",\n    \"dropped_packets\": ";
-  append_u64(out, total_drops);
+  append_u64(out, sys.total_drops());
   out += ",\n    \"events_executed\": ";
-  append_u64(out, events);
+  append_u64(out, sys.simulation().events_executed());
   out += "\n  },\n  \"registry\": {";
   bool first = true;
-  for (const auto& [name, value] : reg.snapshot()) {
+  for (const auto& [name, value] : sys.registry().snapshot()) {
     out += first ? "\n    " : ",\n    ";
     first = false;
     append_escaped(out, name);
@@ -95,43 +94,11 @@ void append_common(std::string& out, const monitor::LatencyCollector& lat,
   out += "\n  }\n}\n";
 }
 
-std::string write_to(const std::string& json, const std::string& dir,
-                     const std::string& name) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path = dir + "/" + name + ".manifest.json";
-  return metrics::write_file(path, json) ? path : std::string();
-}
-
-ManifestRun manifest_run(const NTierSystem& sys) {
-  const auto& cfg = sys.config();
-  ManifestRun run;
-  run.kind = "ntier";
-  run.name = cfg.name;
-  run.arch = to_string(cfg.system.arch);
-  run.seed = cfg.seed;
-  run.duration = cfg.duration;
-  run.sample_window = cfg.sample_window;
-  run.sessions = cfg.workload.sessions;
-  for (Tier t : {Tier::kWeb, Tier::kApp, Tier::kDb}) {
-    run.tiers.push_back(sys.tier(t)->name());
-    run.total_drops += sys.tier(t)->stats().dropped;
-  }
-  run.events_executed = sys.simulation().events_executed();
-  run.latency = &sys.latency();
-  run.registry = &sys.registry();
-  return run;
-}
-
 }  // namespace
 
-std::string run_manifest_json(const NTierSystem& sys, const CtqoReport* ctqo,
+std::string run_manifest_json(const Testbed& sys, const CtqoReport* ctqo,
                               const obs::IncidentSummary* incidents) {
-  return run_manifest_json(manifest_run(sys), ctqo, incidents);
-}
-
-std::string run_manifest_json(const ManifestRun& run, const CtqoReport* ctqo,
-                              const obs::IncidentSummary* incidents) {
+  const RunInfo& run = sys.info();
   std::string out = "{\n  \"schema\": \"ntier.run-manifest/1\",\n  \"kind\": ";
   append_escaped(out, run.kind);
   out += ",\n  \"name\": ";
@@ -149,24 +116,22 @@ std::string run_manifest_json(const ManifestRun& run, const CtqoReport* ctqo,
   out += ",\n  \"sessions\": ";
   append_u64(out, run.sessions);
   out += ",\n  \"tiers\": [";
-  for (std::size_t i = 0; i < run.tiers.size(); ++i) {
+  for (std::size_t i = 0; i < sys.flat_count(); ++i) {
     if (i > 0) out += ", ";
-    append_escaped(out, run.tiers[i]);
+    append_escaped(out, sys.server_flat(i)->name());
   }
   out += "],\n";
-  append_common(out, *run.latency, run.total_drops, run.events_executed,
-                *run.registry, ctqo, incidents);
+  append_tail(out, sys, ctqo, incidents);
   return out;
 }
 
-std::string write_manifest(const NTierSystem& sys, const std::string& dir,
+std::string write_manifest(const Testbed& sys, const std::string& dir,
                            const CtqoReport* ctqo, const obs::IncidentSummary* incidents) {
-  return write_manifest(manifest_run(sys), dir, ctqo, incidents);
-}
-
-std::string write_manifest(const ManifestRun& run, const std::string& dir,
-                           const CtqoReport* ctqo, const obs::IncidentSummary* incidents) {
-  return write_to(run_manifest_json(run, ctqo, incidents), dir, run.name);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  const std::string path = dir + "/" + sys.info().name + ".manifest.json";
+  return metrics::write_file(path, run_manifest_json(sys, ctqo, incidents)) ? path
+                                                                             : std::string();
 }
 
 }  // namespace ntier::core

@@ -1,27 +1,29 @@
 #include "core/system.h"
 
-#include <cassert>
-
-#include "core/correlate.h"
 #include "server/tiers.h"
-#include "telemetry/publish.h"
 
 namespace ntier::core {
 
 namespace st = server::tiers;
 
 NTierSystem::NTierSystem(ExperimentConfig cfg)
-    : cfg_(std::move(cfg)),
-      rng_(cfg_.seed),
-      registry_(cfg_.sample_window),
-      sampler_(sim_, registry_, cfg_.sample_window),
-      latency_() {
+    : Testbed(RunInfo{.kind = "ntier",
+                      .name = cfg.name,
+                      .arch = to_string(cfg.system.arch),
+                      .seed = cfg.seed,
+                      .duration = cfg.duration,
+                      .sample_window = cfg.sample_window,
+                      .sessions = cfg.workload.sessions}),
+      cfg_(std::move(cfg)) {
   build_hosts();
   build_servers();
-  build_workload();
+  build_clients(cfg_.workload, cfg_.trace, cfg_.profile);
+  build_bottleneck();
   build_monitoring();
-  build_faults();
-  build_obs();
+  // The co-located tenant is no tier; the sampler ticks it after the
+  // tier VMs.
+  if (bursty_vm_ != nullptr) sampler().track_vm("sysbursty", bursty_vm_);
+  build_faults_and_obs(cfg_.faults, cfg_.obs);
 }
 
 void NTierSystem::build_hosts() {
@@ -118,40 +120,13 @@ void NTierSystem::build_servers() {
   servers_[0]->enable_overload_control(cfg_.overload.web);
   servers_[1]->enable_overload_control(cfg_.overload.app);
   servers_[2]->enable_overload_control(cfg_.overload.db);
+
+  for (int i = 0; i < 3; ++i)
+    add_tier(servers_[i].get(), hosts_[i].get(), vms_[i],
+             i == index(Tier::kDb) ? db_disk_.get() : nullptr);
 }
 
-void NTierSystem::build_workload() {
-  const WorkloadConfig& w = cfg_.workload;
-  if (cfg_.trace.mode != trace::TraceMode::kOff)
-    tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
-  if (w.burst_index > 1.0) {
-    workload::BurstClock::Config bc;
-    bc.burst_index = w.burst_index;
-    bc.burst_dwell = w.burst_dwell;
-    bc.normal_dwell = w.normal_dwell;
-    client_burst_ = std::make_unique<workload::BurstClock>(sim_, rng_, bc);
-  }
-  workload::ClientConfig cc;
-  cc.sessions = w.sessions;
-  cc.mean_think = w.mean_think;
-  cc.rto = w.client_rto;
-  cc.link = net::Link{w.client_link};
-  cc.measure_from = w.measure_from;
-  cc.timeout = w.client_timeout;
-  cc.policy = w.client_policy;
-  cc.tracer = tracer_.get();
-  if (w.markov_sessions) {
-    session_model_ = std::make_unique<workload::SessionModel>(
-        workload::SessionModel::rubbos_browse());
-    cc.session_model = session_model_.get();
-  }
-  clients_ = std::make_unique<workload::ClientPool>(
-      sim_, rng_.fork(1), &cfg_.profile, servers_[0].get(), cc, client_burst_.get());
-  clients_->on_complete([this](const server::RequestPtr& r) {
-    latency_.record(r);
-    registry_.quantile("client.latency_ms").record(r->latency().to_millis());
-  });
-
+void NTierSystem::build_bottleneck() {
   switch (cfg_.bottleneck.kind) {
     case MillibottleneckSpec::Kind::kNone:
       break;
@@ -176,77 +151,6 @@ void NTierSystem::build_workload() {
           sim_, *hosts_[index(cfg_.bottleneck.target)], cfg_.bottleneck.dvfs);
       break;
   }
-}
-
-void NTierSystem::build_monitoring() {
-  for (int i = 0; i < 3; ++i) {
-    sampler_.track_vm(vms_[i]->name(), vms_[i]);
-    sampler_.track_server(servers_[i]->name(), servers_[i].get());
-  }
-  if (bursty_vm_ != nullptr) sampler_.track_vm("sysbursty", bursty_vm_);
-  sampler_.track_io("dbdisk", db_disk_.get());
-
-  // Pull-probes: every layer publishes into the shared registry, sampled
-  // at the Sampler tick (no events, no randomness — invariant 10).
-  telemetry::publish_simulation(registry_, sim_);
-  for (auto& srv : servers_) telemetry::publish_server(registry_, *srv);
-  telemetry::publish_transport(registry_, "client", clients_->transport());
-  for (int i = 0; i < 2; ++i) {
-    if (auto* t = servers_[i]->downstream_transport())
-      telemetry::publish_transport(registry_, servers_[i]->name(), *t);
-  }
-  if (const auto* g = clients_->governor()) telemetry::publish_governor(registry_, "client", *g);
-  for (int i = 0; i < 2; ++i) {
-    if (const auto* g = servers_[i]->governor())
-      telemetry::publish_governor(registry_, servers_[i]->name(), *g);
-  }
-  for (auto& srv : servers_) {
-    if (const auto* c = srv->overload())
-      telemetry::publish_overload(registry_, srv->name(), *c);
-  }
-  // SYN-cookie slow-path counter, only under that admission mode (the
-  // default registry snapshot stays unchanged).
-  for (auto& srv : servers_) {
-    if (const auto* q = srv->accept_queue();
-        q != nullptr && q->mode() == net::AdmissionMode::kSynCookies)
-      telemetry::publish_accept_queue(registry_, srv->name(), *q);
-  }
-}
-
-void NTierSystem::build_faults() {
-  if (cfg_.faults.empty()) return;
-  fault::FaultTargets targets;
-  for (auto& srv : servers_) targets.tiers.push_back(srv.get());
-  for (auto& host : hosts_) targets.hosts.push_back(host.get());
-  targets.hops = {&clients_->transport(), servers_[0]->downstream_transport(),
-                  servers_[1]->downstream_transport()};
-  fault_injector_ = std::make_unique<fault::FaultInjector>(
-      sim_, rng_.fork(20), cfg_.faults, std::move(targets));
-}
-
-void NTierSystem::build_obs() {
-  if (!cfg_.obs.enabled) return;
-  obs_ = std::make_unique<obs::IncidentMonitor>(cfg_.obs);
-  obs::Bindings b;
-  b.sampler = &sampler_;
-  b.registry = &registry_;
-  b.vlrt = &latency_.vlrt_per_window();
-  b.tracer = tracer_.get();
-  b.run_name = cfg_.name;
-  b.groups = detector_groups(collect_signals(*this));
-  obs_->attach(std::move(b));
-}
-
-void NTierSystem::run() { run_until(sim_.now() + cfg_.duration); }
-
-void NTierSystem::run_until(sim::Time t) {
-  if (!started_) {
-    started_ = true;
-    sampler_.start();
-    clients_->start();
-    if (fault_injector_) fault_injector_->arm();
-  }
-  sim_.run_until(t);
 }
 
 }  // namespace ntier::core

@@ -1,56 +1,38 @@
-// NTierSystem: a fully assembled simulated testbed.
+// NTierSystem: the paper's 3-tier testbed, fully built.
 //
-// Owns the Simulation, the hosts/VMs/disk, the three tier servers
-// (chosen by Architecture), the client population, the optional
-// SysBursty interference tenant or collectl log flusher, the 50 ms
-// sampler, and the latency collector. This is the public entry point a
-// downstream user builds experiments with; `scenarios.h` provides the
-// paper's canned configurations.
+// Adds to the shared run runtime (core/testbed.h) the hosts/VMs/disk,
+// the three tier servers (chosen by Architecture), and the optional
+// SysBursty interference tenant, collectl log flusher, GC freeze or
+// DVFS governor. This is the public entry point a downstream user
+// builds experiments with; `scenarios.h` provides the paper's canned
+// configurations.
 #pragma once
 
 #include <array>
 #include <memory>
-#include <string>
 
 #include "core/config.h"
+#include "core/testbed.h"
 #include "cpu/dvfs.h"
-#include "fault/fault_injector.h"
 #include "cpu/host_core.h"
 #include "cpu/io_device.h"
 #include "monitor/collectl.h"
-#include "monitor/sampler.h"
-#include "monitor/vlrt_tracker.h"
-#include "obs/incident_monitor.h"
 #include "server/server_base.h"
-#include "sim/random.h"
-#include "sim/simulation.h"
-#include "telemetry/registry.h"
-#include "trace/tracer.h"
-#include "workload/client.h"
 #include "workload/sysbursty.h"
 
 namespace ntier::core {
 
-// The paper's 3-tier testbed, fully built: one Simulation owning hosts,
-// servers, clients, the millibottleneck source, and every monitor.
-// Distinct instances share nothing (sweep replications run in parallel).
-class NTierSystem {
+// The paper's 3-tier testbed: web, app and db tiers on their own hosts,
+// front to back in the Testbed's flat tier list (the db disk on the db
+// tier), plus the millibottleneck source.
+class NTierSystem : public Testbed {
  public:
   // Builds the whole stack from a validated config; non-copyable (all
   // components hold pointers into this system's Simulation).
   explicit NTierSystem(ExperimentConfig cfg);
-  NTierSystem(const NTierSystem&) = delete;
-  NTierSystem& operator=(const NTierSystem&) = delete;
-
-  // Runs the configured duration (idempotent extension allowed via
-  // run_until). Starts clients/sampler on first call.
-  void run();
-  void run_until(sim::Time t);
 
   // --- access ------------------------------------------------------------
   const ExperimentConfig& config() const { return cfg_; }
-  sim::Simulation& simulation() { return sim_; }
-  const sim::Simulation& simulation() const { return sim_; }
   server::Server* tier(Tier t) { return servers_[index(t)].get(); }
   const server::Server* tier(Tier t) const { return servers_[index(t)].get(); }
   server::Server* web() { return tier(Tier::kWeb); }
@@ -63,32 +45,13 @@ class NTierSystem {
   cpu::IoDevice* db_disk() { return db_disk_.get(); }
   const cpu::IoDevice* db_disk() const { return db_disk_.get(); }
 
-  // Monitors, clients, and the optional bottleneck/fault components
-  // (null when the config doesn't enable them).
-  monitor::Sampler& sampler() { return sampler_; }
-  const monitor::Sampler& sampler() const { return sampler_; }
-  // Unified metric plane: every layer's counters/gauges/series/probes
-  // (telemetry/registry.h; schema in docs/TELEMETRY.md).
-  telemetry::Registry& registry() { return registry_; }
-  const telemetry::Registry& registry() const { return registry_; }
-  monitor::LatencyCollector& latency() { return latency_; }
-  const monitor::LatencyCollector& latency() const { return latency_; }
-  workload::ClientPool& clients() { return *clients_; }
-  const workload::ClientPool& clients() const { return *clients_; }
+  // The optional millibottleneck sources (null when the config doesn't
+  // enable them).
   workload::InterferenceLoad* interference() { return interference_.get(); }
   const workload::InterferenceLoad* interference() const { return interference_.get(); }
   monitor::Collectl* collectl() { return collectl_.get(); }
   cpu::FreezeInjector* gc_injector() { return gc_.get(); }
   cpu::DvfsGovernor* dvfs() { return dvfs_.get(); }
-  // Bound fault schedule; null when cfg.faults is empty.
-  fault::FaultInjector* faults() { return fault_injector_.get(); }
-  // Distributed-tracing collector; null when cfg.trace.mode is kOff.
-  trace::Tracer* tracer() { return tracer_.get(); }
-  const trace::Tracer* tracer() const { return tracer_.get(); }
-  // Online incident detection + flight recorder; null when cfg.obs is
-  // disabled (obs/incident_monitor.h).
-  obs::IncidentMonitor* obs() { return obs_.get(); }
-  const obs::IncidentMonitor* obs() const { return obs_.get(); }
 
   // The request-class profile the system was built with.
   const server::AppProfile& profile() const { return cfg_.profile; }
@@ -96,15 +59,9 @@ class NTierSystem {
  private:
   void build_hosts();
   void build_servers();
-  void build_workload();
-  void build_monitoring();
-  void build_faults();
-  void build_obs();
+  void build_bottleneck();
 
   ExperimentConfig cfg_;
-  sim::Simulation sim_;
-  sim::Rng rng_;
-  telemetry::Registry registry_;
 
   std::array<std::unique_ptr<cpu::HostCpu>, 3> hosts_;
   std::array<cpu::VmCpu*, 3> vms_{};
@@ -113,22 +70,10 @@ class NTierSystem {
 
   std::array<std::unique_ptr<server::Server>, 3> servers_;
 
-  std::unique_ptr<workload::BurstClock> client_burst_;
-  std::unique_ptr<workload::SessionModel> session_model_;
-  std::unique_ptr<workload::ClientPool> clients_;
   std::unique_ptr<workload::InterferenceLoad> interference_;
   std::unique_ptr<monitor::Collectl> collectl_;
   std::unique_ptr<cpu::FreezeInjector> gc_;
   std::unique_ptr<cpu::DvfsGovernor> dvfs_;
-  std::unique_ptr<fault::FaultInjector> fault_injector_;
-  std::unique_ptr<trace::Tracer> tracer_;
-
-  monitor::Sampler sampler_;
-  monitor::LatencyCollector latency_;
-  // Declared after every collector it reads so its (auto-finalizing)
-  // destructor runs first.
-  std::unique_ptr<obs::IncidentMonitor> obs_;
-  bool started_ = false;
 };
 
 }  // namespace ntier::core

@@ -456,13 +456,8 @@ std::string invalid_reason(const GraphConfig& cfg) {
       return why("node '" + cfg.nodes[i].name + "' has out-edges but no downstream step");
   }
 
-  const core::WorkloadConfig& w = cfg.workload;
-  if (w.sessions == 0) return why("workload needs at least one session");
-  if (w.mean_think <= sim::Duration::zero()) return why("mean_think must be positive");
-  if (w.client_timeout > sim::Duration::zero() && w.client_timeout < w.client_rto.rto(0))
-    return why("client_timeout shorter than one retransmission timeout");
-  std::string bad = policy::invalid_reason(w.client_policy);
-  if (!bad.empty()) return why("client_policy: " + bad);
+  std::string bad = core::invalid_reason(cfg.workload);
+  if (!bad.empty()) return why(bad);
   bad = policy::invalid_reason(cfg.tier_policy);
   if (!bad.empty()) return why("tier_policy: " + bad);
   bad = fault::invalid_reason(cfg.faults);

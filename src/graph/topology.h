@@ -151,8 +151,9 @@ bool is_chain(const GraphConfig& cfg);
 // Why `cfg` is invalid, or "" when it is well-formed. Checks node/pool
 // sanity, name uniqueness, edge validity, acyclicity (Kahn), entry and
 // reachability constraints, work-program/edge agreement (a node has a
-// kDownstream step iff it has out-edges), EDF-on-sync-only, and the
-// workload/policy/fault/freeze knobs.
+// kDownstream step iff it has out-edges), EDF-on-sync-only, the workload
+// (core::invalid_reason, the same rules the 3-tier validate applies),
+// and the policy/trace/fault/freeze knobs.
 std::string invalid_reason(const GraphConfig& cfg);
 // Throws std::invalid_argument with invalid_reason() when non-empty.
 void validate(const GraphConfig& cfg);

@@ -11,6 +11,7 @@
 #include "core/report.h"         // figure-style text panels
 #include "core/scenarios.h"      // the paper's canned experiments
 #include "core/system.h"         // the 3-tier testbed (NX=0..3)
+#include "core/testbed.h"        // run runtime shared by both builders
 #include "core/validation.h"     // queueing-law sanity checks
 #include "fault/fault_injector.h"  // deterministic crash/link/slow-node faults
 #include "graph/graph_system.h"  // service-graph experiments (DAG topologies)

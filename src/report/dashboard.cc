@@ -8,8 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/system.h"
-#include "graph/graph_system.h"
+#include "core/testbed.h"
 #include "obs/incident_monitor.h"
 
 namespace ntier::report {
@@ -103,33 +102,10 @@ struct RunView {
   std::vector<TierPanel> tiers;
 };
 
-RunView make_view(const core::NTierSystem& sys) {
+RunView make_view(const core::Testbed& sys) {
   RunView v;
-  v.name = sys.config().name;
-  v.seed = sys.config().seed;
-  v.duration_s = (sys.simulation().now() - sim::Time::origin()).to_seconds();
-  v.window_s = sys.sampler().window().to_seconds();
-  v.registry = &sys.registry();
-  v.latency = &sys.latency();
-  for (core::Tier t : {core::Tier::kWeb, core::Tier::kApp, core::Tier::kDb}) {
-    TierPanel p;
-    p.name = sys.tier(t)->name();
-    p.util.push_back(sys.tier_vm(t)->name() + ".demand");
-    if (t == core::Tier::kDb && sys.db_disk() != nullptr)
-      p.util.push_back(sys.db_disk()->name() + ".busy");
-    p.queue = p.name + ".queue";
-    p.dropped = p.name + ".dropped";
-    v.tiers.push_back(std::move(p));
-  }
-  return v;
-}
-
-// One panel per flattened replica (node-major, front node first) so a
-// replicated group renders side-by-side queue/saturation timelines.
-RunView make_view(const graph::GraphSystem& sys) {
-  RunView v;
-  v.name = sys.config().name;
-  v.seed = sys.config().seed;
+  v.name = sys.info().name;
+  v.seed = sys.info().seed;
   v.duration_s = (sys.simulation().now() - sim::Time::origin()).to_seconds();
   v.window_s = sys.sampler().window().to_seconds();
   v.registry = &sys.registry();
@@ -138,7 +114,7 @@ RunView make_view(const graph::GraphSystem& sys) {
     TierPanel p;
     p.name = sys.server_flat(f)->name();
     p.util.push_back(sys.vm_flat(f)->name() + ".demand");
-    if (sys.disk_flat(f) != nullptr) p.util.push_back(sys.disk_flat(f)->name() + ".busy");
+    if (const cpu::IoDevice* disk = sys.disk_flat(f)) p.util.push_back(disk->name() + ".busy");
     p.queue = p.name + ".queue";
     p.dropped = p.name + ".dropped";
     v.tiers.push_back(std::move(p));
@@ -562,25 +538,13 @@ std::string write_file(const std::string& dir, const std::string& name,
 
 }  // namespace
 
-std::string render_dashboard(const core::NTierSystem& sys, const core::CtqoReport& ctqo,
+std::string render_dashboard(const core::Testbed& sys, const core::CtqoReport& ctqo,
                              const core::CorrelationReport& corr,
                              const obs::IncidentMonitor* om) {
   return render(make_view(sys), ctqo, corr, om);
 }
 
-std::string write_dashboard(const core::NTierSystem& sys, const core::CtqoReport& ctqo,
-                            const core::CorrelationReport& corr, const std::string& dir,
-                            const std::string& name, const obs::IncidentMonitor* om) {
-  return write_file(dir, name, render_dashboard(sys, ctqo, corr, om));
-}
-
-std::string render_dashboard(const graph::GraphSystem& sys, const core::CtqoReport& ctqo,
-                             const core::CorrelationReport& corr,
-                             const obs::IncidentMonitor* om) {
-  return render(make_view(sys), ctqo, corr, om);
-}
-
-std::string write_dashboard(const graph::GraphSystem& sys, const core::CtqoReport& ctqo,
+std::string write_dashboard(const core::Testbed& sys, const core::CtqoReport& ctqo,
                             const core::CorrelationReport& corr, const std::string& dir,
                             const std::string& name, const obs::IncidentMonitor* om) {
   return write_file(dir, name, render_dashboard(sys, ctqo, corr, om));

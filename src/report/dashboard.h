@@ -7,12 +7,8 @@
 #include "core/ctqo_analyzer.h"
 
 namespace ntier::core {
-class NTierSystem;
+class Testbed;
 }  // namespace ntier::core
-
-namespace ntier::graph {
-class GraphSystem;
-}  // namespace ntier::graph
 
 namespace ntier::obs {
 class IncidentMonitor;
@@ -31,19 +27,15 @@ namespace ntier::report {
 // `<script type="application/json" id="incident-data">` island (series
 // names JS-escaped). Passing null — or a monitor that never fired —
 // yields bytes identical to the incident-free dashboard.
-std::string render_dashboard(const core::NTierSystem& sys, const core::CtqoReport& ctqo,
-                             const core::CorrelationReport& corr,
-                             const obs::IncidentMonitor* om = nullptr);
-std::string render_dashboard(const graph::GraphSystem& sys, const core::CtqoReport& ctqo,
+//
+// One panel per flat tier, front first (a replicated graph node renders
+// one panel per replica, side by side).
+std::string render_dashboard(const core::Testbed& sys, const core::CtqoReport& ctqo,
                              const core::CorrelationReport& corr,
                              const obs::IncidentMonitor* om = nullptr);
 
 // Renders and writes `<dir>/<name>.dashboard.html`; returns the path.
-std::string write_dashboard(const core::NTierSystem& sys, const core::CtqoReport& ctqo,
-                            const core::CorrelationReport& corr, const std::string& dir,
-                            const std::string& name,
-                            const obs::IncidentMonitor* om = nullptr);
-std::string write_dashboard(const graph::GraphSystem& sys, const core::CtqoReport& ctqo,
+std::string write_dashboard(const core::Testbed& sys, const core::CtqoReport& ctqo,
                             const core::CorrelationReport& corr, const std::string& dir,
                             const std::string& name,
                             const obs::IncidentMonitor* om = nullptr);

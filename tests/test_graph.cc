@@ -1,12 +1,16 @@
 // Tests of the declarative service-graph engine (src/graph): topology
-// parsing and validation, the chain wiring path against pinned
-// fingerprints, the parallel fan-out / fan-in barrier (verified through
-// span trees), and the load-balancer policy menu on a replicated group.
+// parsing and validation, the shared workload wiring, the chain wiring
+// path against pinned fingerprints, the parallel fan-out / fan-in
+// barrier (verified through span trees), and the load-balancer policy
+// menu on a replicated group.
 #include "graph/graph_system.h"
 #include "graph/topology.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -214,6 +218,64 @@ TEST(Validation, RejectsBadTraceConfig) {
   cfg.trace.mode = trace::TraceMode::kVlrtOnly;
   cfg.trace.vlrt_threshold = Duration::zero();
   EXPECT_NE(invalid_reason(cfg), "");
+}
+
+// Graphs apply the 3-tier workload rules (core::invalid_reason). A
+// negative client link would schedule deliveries in the past and report
+// negative latencies.
+TEST(Validation, RejectsBadWorkload) {
+  struct Case {
+    const char* field;
+    void (*apply)(core::WorkloadConfig&);
+  };
+  const Case cases[] = {
+      {"client_link", [](core::WorkloadConfig& w) { w.client_link = Duration::millis(-5); }},
+      {"burst_index", [](core::WorkloadConfig& w) { w.burst_index = 0.5; }},
+      {"client_timeout",
+       [](core::WorkloadConfig& w) { w.client_timeout = Duration::seconds(-1); }},
+  };
+  for (const Case& c : cases) {
+    auto cfg = two_node();
+    cfg.workload.sessions = 50;
+    cfg.duration = Duration::seconds(2);
+    c.apply(cfg.workload);
+    EXPECT_NE(invalid_reason(cfg).find(c.field), std::string::npos) << c.field;
+    EXPECT_THROW(run_graph(cfg), std::invalid_argument) << c.field;
+  }
+}
+
+// Zero think time is the saturation test (fig 12 runs it on the 3-tier
+// system); graphs accept it too.
+TEST(Validation, AcceptsZeroThinkSaturationTest) {
+  auto cfg = two_node();
+  cfg.workload.sessions = 50;
+  cfg.workload.mean_think = Duration::zero();
+  cfg.duration = Duration::seconds(2);
+  EXPECT_EQ(invalid_reason(cfg), "");
+  const auto sys = run_graph(cfg);
+  EXPECT_GT(sys->clients().completed(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Workload wiring shared with the 3-tier testbed: the RUBBoS Markov
+// session model changes which classes the clients request.
+
+TEST(GraphSystem, HonoursMarkovSessions) {
+  auto class_counts = [](bool markov) {
+    auto cfg = two_node();
+    cfg.workload.sessions = 200;
+    cfg.workload.mean_think = Duration::millis(500);
+    cfg.workload.markov_sessions = markov;
+    cfg.duration = Duration::seconds(20);
+    const auto sys = run_graph(cfg);
+    std::vector<std::uint64_t> counts;
+    for (std::size_t c = 0; c < cfg.profile.classes.size(); ++c)
+      counts.push_back(sys->latency().class_stats(c).completed);
+    return counts;
+  };
+  const std::vector<std::uint64_t> independent = class_counts(false);
+  EXPECT_GT(independent.at(0), 0u);
+  EXPECT_NE(independent, class_counts(true));
 }
 
 // ---------------------------------------------------------------------
