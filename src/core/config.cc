@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -27,7 +28,8 @@ std::string invalid_reason(const WorkloadConfig& w) {
   if (w.sessions == 0) return "workload needs at least one session";
   if (w.mean_think < sim::Duration::zero())
     return "mean_think cannot be negative (zero = saturation test)";
-  if (w.burst_index < 1.0) return "burst_index below 1.0 is not a burst model";
+  if (!(w.burst_index >= 1.0 && std::isfinite(w.burst_index)))
+    return "burst_index must be a finite number >= 1.0 (below 1.0 is not a burst model)";
   if (w.client_link < sim::Duration::zero()) return "client_link latency cannot be negative";
   if (w.client_timeout < sim::Duration::zero()) return "client_timeout cannot be negative";
   if (w.client_timeout > sim::Duration::zero() && w.client_timeout < w.client_rto.rto(0))

@@ -18,8 +18,9 @@ namespace ntier::graph {
 
 namespace {
 
-// A decimal number that spans all of `s` (stod alone stops at the first
-// character it cannot use, so "1.2.3" would read as 1.2).
+// A finite decimal number that spans all of `s` (stod alone stops at the
+// first character it cannot use, so "1.2.3" would read as 1.2, and it
+// accepts "nan" and "inf").
 bool parse_double(const std::string& s, double& out) {
   std::size_t used = 0;
   try {
@@ -27,7 +28,7 @@ bool parse_double(const std::string& s, double& out) {
   } catch (const std::exception&) {
     return false;
   }
-  return used == s.size();
+  return used == s.size() && std::isfinite(out);
 }
 
 // "60us" / "2ms" / "1.5s" -> Duration (integral microseconds).

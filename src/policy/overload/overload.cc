@@ -26,9 +26,9 @@ std::string invalid_reason(const OverloadPolicy& p) {
         return "overload: queue_cap of zero would shed every request";
       return {};
     case Kind::kTokenBucket:
-      if (p.bucket_rate <= 0.0)
+      if (!(p.bucket_rate > 0.0))
         return "overload: token bucket needs a positive refill rate";
-      if (p.bucket_burst < 1.0)
+      if (!(p.bucket_burst >= 1.0))
         return "overload: token bucket burst below one token can never admit";
       return {};
     case Kind::kCoDel:

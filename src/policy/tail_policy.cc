@@ -25,26 +25,27 @@ sim::Duration RetryPolicy::backoff(int attempt, sim::Duration prev,
 LatencyEstimator::LatencyEstimator(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(capacity_);
+  sorted_.reserve(capacity_);
 }
 
 void LatencyEstimator::record(sim::Duration d) {
   if (ring_.size() < capacity_) {
     ring_.push_back(d);
   } else {
+    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), ring_[next_]));
     ring_[next_] = d;
     next_ = (next_ + 1) % capacity_;
   }
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), d), d);
   ++total_;
 }
 
 sim::Duration LatencyEstimator::quantile(double q) const {
-  if (ring_.empty()) return sim::Duration::zero();
-  std::vector<sim::Duration> sorted(ring_);
-  std::sort(sorted.begin(), sorted.end());
+  if (sorted_.empty()) return sim::Duration::zero();
   q = std::min(std::max(q, 0.0), 1.0);
   const std::size_t idx = std::min(
-      sorted.size() - 1, static_cast<std::size_t>(q * static_cast<double>(sorted.size())));
-  return sorted[idx];
+      sorted_.size() - 1, static_cast<std::size_t>(q * static_cast<double>(sorted_.size())));
+  return sorted_[idx];
 }
 
 bool CircuitBreaker::allow() {
@@ -142,7 +143,9 @@ void HopGovernor::on_outcome(bool success) {
   stats_.breaker_opens += breaker_->opens() - opens_before;
 }
 
-void HopGovernor::record_latency(sim::Duration d) { estimator_.record(d); }
+void HopGovernor::record_latency(sim::Duration d) {
+  if (p_.hedge.enabled) estimator_.record(d);
+}
 
 sim::Duration HopGovernor::hedge_delay() const {
   const HedgePolicy& h = p_.hedge;
@@ -169,18 +172,18 @@ std::string invalid_reason(const TailPolicy& p) {
     return "retry.base_backoff is negative";
   if (p.retry.enabled() && p.retry.max_backoff < p.retry.base_backoff)
     return "retry.max_backoff < retry.base_backoff";
-  if (p.retry.budget_ratio < 0.0) return "retry.budget_ratio is negative";
-  if (p.retry.budgeted() && p.retry.budget_capacity < 1.0)
+  if (!(p.retry.budget_ratio >= 0.0)) return "retry.budget_ratio is negative";
+  if (p.retry.budgeted() && !(p.retry.budget_capacity >= 1.0))
     return "retry.budget_capacity < 1 can never afford a retry";
   if (p.hedge.enabled) {
     if (p.hedge.initial_delay <= sim::Duration::zero())
       return "hedge delay of zero would duplicate every request immediately";
-    if (p.hedge.percentile <= 0.0 || p.hedge.percentile >= 1.0)
+    if (!(p.hedge.percentile > 0.0 && p.hedge.percentile < 1.0))
       return "hedge.percentile must be in (0,1)";
     if (p.hedge.max_hedges < 1) return "hedge enabled with max_hedges < 1";
   }
   if (p.breaker.enabled) {
-    if (p.breaker.failure_threshold <= 0.0 || p.breaker.failure_threshold > 1.0)
+    if (!(p.breaker.failure_threshold > 0.0 && p.breaker.failure_threshold <= 1.0))
       return "breaker.failure_threshold must be in (0,1]";
     if (p.breaker.min_samples == 0) return "breaker.min_samples must be >= 1";
     if (p.breaker.open_for <= sim::Duration::zero()) return "breaker.open_for must be positive";

@@ -88,8 +88,14 @@ struct HedgePolicy {
   int max_hedges = 1;  // extra copies per logical request
 };
 
-// Sliding-window quantile estimator over the last `capacity` latencies.
-// Deterministic: a plain ring buffer, quantile by sorting a copy.
+// Exact sliding-window quantile estimator over the last `capacity`
+// latencies. A ring holds the window in arrival order and a sorted copy
+// holds the same values ascending, both reserved to capacity at
+// construction, so nothing is allocated after it. `record` erases one
+// instance of the evicted value from the sorted copy and inserts the new
+// one, each shifting up to `capacity` entries; `quantile` is an index
+// into the sorted copy. Equal durations are interchangeable, so the
+// result is the one a sort of the window would give.
 class LatencyEstimator {
  public:
   explicit LatencyEstimator(std::size_t capacity = 256);
@@ -100,6 +106,7 @@ class LatencyEstimator {
 
  private:
   std::vector<sim::Duration> ring_;
+  std::vector<sim::Duration> sorted_;
   std::size_t capacity_;
   std::size_t next_ = 0;
   std::size_t total_ = 0;
@@ -200,7 +207,9 @@ class HopGovernor {
   bool allow_send();
   // Feeds breaker state; call once per concluded attempt.
   void on_outcome(bool success);
-  // Record an observed reply latency (feeds the hedge estimator).
+  // Record an observed reply latency (feeds the hedge estimator). A
+  // no-op unless hedging is on: hedge_delay is the estimator's only
+  // reader, and a record costs a shift of the sorted window.
   void record_latency(sim::Duration d);
   // Current hedge trigger delay (percentile of observed latencies once
   // warmed up, initial_delay before that).

@@ -2,6 +2,12 @@
 // retries, hedging, circuit breaking) and deterministic fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <vector>
+
 #include "core/experiment.h"
 #include "core/scenarios.h"
 #include "helpers.h"
@@ -69,6 +75,33 @@ TEST(LatencyEstimator, TracksWindowQuantiles) {
   EXPECT_GE(est.quantile(0.95), Duration::millis(94));
   EXPECT_LE(est.quantile(0.95), Duration::millis(97));
   EXPECT_EQ(est.quantile(1.0), Duration::millis(100));
+}
+
+// The incremental sorted window against sort-a-copy of the last
+// `capacity` values, after every record. The values come from a small
+// range, so duplicates are common, and the first `capacity` records
+// cover windows that are not yet full.
+TEST(LatencyEstimator, MatchesSortedCopyOfTheWindow) {
+  for (const std::size_t capacity : {0u, 1u, 2u, 7u, 256u}) {
+    policy::LatencyEstimator est(capacity);
+    const std::size_t window = std::max<std::size_t>(capacity, 1);  // 0 becomes 1
+    std::deque<Duration> last;
+    sim::Rng rng(capacity + 1);
+    for (int i = 0; i < 3000; ++i) {
+      const Duration d = Duration::micros(static_cast<std::int64_t>(rng.next_u64() % 12));
+      est.record(d);
+      last.push_back(d);
+      if (last.size() > window) last.pop_front();
+      std::vector<Duration> sorted(last.begin(), last.end());
+      std::sort(sorted.begin(), sorted.end());
+      for (const double q : {0.0, 0.5, 0.95, 0.999, 1.0}) {
+        const std::size_t idx = std::min(
+            sorted.size() - 1, static_cast<std::size_t>(q * static_cast<double>(sorted.size())));
+        ASSERT_EQ(est.quantile(q), sorted[idx])
+            << "capacity " << capacity << ", record " << i << ", q " << q;
+      }
+    }
+  }
 }
 
 // --- circuit breaker state machine -----------------------------------------
@@ -352,6 +385,28 @@ TEST(Validate, RejectsBadConfigsDescriptively) {
   bad = good;
   bad.workload.client_policy.hedge.enabled = true;
   bad.workload.client_policy.hedge.percentile = 1.5;
+  EXPECT_THROW(core::validate(bad), std::invalid_argument);
+
+  // NaN compares false both ways, so every range check must be written
+  // as a negated in-range test.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = good;
+  bad.workload.client_policy.hedge.enabled = true;
+  bad.workload.client_policy.hedge.percentile = nan;
+  EXPECT_THROW(core::validate(bad), std::invalid_argument);
+
+  bad = good;
+  bad.workload.client_policy.breaker.enabled = true;
+  bad.workload.client_policy.breaker.failure_threshold = nan;
+  EXPECT_THROW(core::validate(bad), std::invalid_argument);
+
+  bad = good;
+  bad.workload.client_policy.retry.budget_ratio = nan;
+  EXPECT_THROW(core::validate(bad), std::invalid_argument);
+
+  bad = good;
+  bad.workload.client_policy.retry.budget_ratio = 0.1;
+  bad.workload.client_policy.retry.budget_capacity = nan;
   EXPECT_THROW(core::validate(bad), std::invalid_argument);
 
   bad = good;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -106,6 +107,9 @@ TEST(Topology, SyntaxErrorsNameTheLine) {
   }
   EXPECT_TRUE(rejects_line("node a work=cpu:1ms\nfreeze a replica=4294967296\n", 2));
   EXPECT_TRUE(rejects_line("graph g\nburst 2.5x 1s 4s\n", 2));
+  // stod reads "nan" and "inf"; a topology number must be finite.
+  EXPECT_TRUE(rejects_line("graph g\nburst nan 500ms 2s\n", 2));
+  EXPECT_TRUE(rejects_line("graph g\nburst inf 500ms 2s\n", 2));
 }
 
 // ---------------------------------------------------------------------
@@ -231,6 +235,10 @@ TEST(Validation, RejectsBadWorkload) {
   const Case cases[] = {
       {"client_link", [](core::WorkloadConfig& w) { w.client_link = Duration::millis(-5); }},
       {"burst_index", [](core::WorkloadConfig& w) { w.burst_index = 0.5; }},
+      {"burst_index",
+       [](core::WorkloadConfig& w) { w.burst_index = std::numeric_limits<double>::quiet_NaN(); }},
+      {"burst_index",
+       [](core::WorkloadConfig& w) { w.burst_index = std::numeric_limits<double>::infinity(); }},
       {"client_timeout",
        [](core::WorkloadConfig& w) { w.client_timeout = Duration::seconds(-1); }},
   };

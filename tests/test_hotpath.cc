@@ -1,7 +1,8 @@
 // Hot-path memory tests: SlabPool reuse/generation semantics, InlineFn
 // inline storage, and the headline zero-allocation guarantee — a warmed
 // closed-loop client/server system executes steady-state events without
-// touching the global allocator (docs/PERFORMANCE.md).
+// touching the global allocator, and neither do the policy layer's
+// latency windows (docs/PERFORMANCE.md).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,8 @@
 #include "cpu/host_core.h"
 #include "helpers.h"
 #include "net/rto_policy.h"
+#include "policy/overload/overload.h"
+#include "policy/tail_policy.h"
 #include "server/request.h"
 #include "server/sync_server.h"
 #include "sim/inline_fn.h"
@@ -235,6 +238,37 @@ TEST(HotPath, SteadyStateEventsDoZeroAllocations) {
   EXPECT_GT(clients.completed(), 0u);
   EXPECT_EQ(news() - n0, 0u) << "steady-state events allocated";
   EXPECT_EQ(deletes() - d0, 0u) << "steady-state events freed";
+}
+
+// The policy windows join the guarantee: a hedging governor decides a
+// hedge delay on every governed dispatch, and an overload controller
+// feeds its sojourn window on every dequeue. Both windows reserve their
+// storage at construction; recording and reading a quantile afterwards
+// touch no allocator, whether the window is filling or full.
+TEST(HotPath, PolicyWindowsRecordAndDecideWithoutAllocating) {
+  sim::Simulation sim;
+  policy::TailPolicy tp;
+  tp.hedge.enabled = true;
+  policy::HopGovernor gov(sim, sim::Rng(3), tp);
+  policy::overload::OverloadPolicy op;
+  op.kind = policy::overload::Kind::kCoDel;
+  policy::overload::AdmissionController ctl(op);
+  sim::Rng rng(11);
+
+  const std::uint64_t n0 = news();
+  const std::uint64_t d0 = deletes();
+  std::int64_t sum_us = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const Duration d = Duration::micros(static_cast<std::int64_t>(rng.next_u64() % 50'000));
+    gov.record_latency(d);
+    sum_us += gov.hedge_delay().count_micros();
+    ctl.record_sojourn(d);
+    sum_us += ctl.sojourn_quantile(0.99).count_micros();
+  }
+
+  EXPECT_GT(sum_us, 0);
+  EXPECT_EQ(news() - n0, 0u) << "policy windows allocated";
+  EXPECT_EQ(deletes() - d0, 0u) << "policy windows freed";
 }
 
 TEST(HotPath, WarmedWheelSchedulesCancelsAndCascadesWithoutAllocating) {

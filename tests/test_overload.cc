@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 
 #include "core/experiment.h"
 #include "core/metastability.h"
@@ -38,6 +39,12 @@ TEST(OverloadPolicy, InvalidReasonCatchesNonsense) {
   EXPECT_FALSE(policy::overload::invalid_reason(p).empty());
   p.bucket_rate = 100.0;
   p.bucket_burst = 0.5;  // can never hold a whole token
+  EXPECT_FALSE(policy::overload::invalid_reason(p).empty());
+  // NaN compares false both ways; the checks must still reject it.
+  p.bucket_burst = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(policy::overload::invalid_reason(p).empty());
+  p.bucket_burst = 100.0;
+  p.bucket_rate = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(policy::overload::invalid_reason(p).empty());
 
   p = OverloadPolicy{};
