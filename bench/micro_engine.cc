@@ -1,14 +1,15 @@
 // google-benchmark microbenchmarks of the simulation substrates: these
 // bound how much simulated time per wall-second the harness sustains.
 //
-// Every case runs the live engine. WheelCancelHeavy runs the
-// processor-sharing core's reschedule pattern (cancel the pending
-// completion event, push a new one); WheelDense runs the homogeneous
-// self-rescheduling timer mass the timing wheel was built for (think
-// times, RTOs, sampler ticks); FarTimer pins the beyond-horizon heap
-// fallback. scripts/run_benches.py records their absolute rates into
-// BENCH_ntier.json; EXPERIMENTS.md keeps the numbers of the retired
-// queue generations they replaced.
+// Every case runs the live engine through the tick driver the
+// Simulation uses. WheelCancelHeavy runs the processor-sharing core's
+// reschedule pattern (cancel the pending completion event, push a new
+// one); WheelDense runs the homogeneous self-rescheduling timer mass the
+// timing wheel was built for (think times, RTOs, sampler ticks);
+// FarTimer pins far timers that sit at level 4 and cascade through
+// every finer level. scripts/run_benches.py records their absolute
+// rates into BENCH_ntier.json; EXPERIMENTS.md keeps the numbers of the
+// retired queue generations they replaced.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -26,21 +27,23 @@ using namespace ntier;
 using sim::Duration;
 
 // Cancel-heavy churn: 256 standing "timers" that are constantly
-// rescheduled (cancel + re-push) with an occasional pop — how every
-// tier server's next-completion event behaves under load.
+// rescheduled (cancel + re-push) up to 1 s ahead of the clock, with one
+// tick run every eighth op — how every tier server's next-completion
+// event behaves under load.
 void BM_WheelCancelHeavy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::EventQueue q;
     std::vector<sim::EventHandle> slots(256);
     sim::Rng rng(7);
+    sim::Time now{};
     for (int i = 0; i < n; ++i) {
       auto& slot = slots[rng.next_u64() % 256];
       slot.cancel();
-      slot = q.push(sim::Time::from_micros(
-                        1 + static_cast<std::int64_t>(rng.next_u64() % 1000000)),
+      slot = q.push(now + Duration::micros(1 + static_cast<std::int64_t>(
+                                                   rng.next_u64() % 1000000)),
                     [] {});
-      if (i % 8 == 0) q.pop_and_run();
+      if (i % 8 == 0) q.run_next_tick(sim::Time::max(), now);
     }
     benchmark::DoNotOptimize(q);
   }
@@ -81,7 +84,6 @@ void BM_WheelDense(benchmark::State& state) {
       q.push(sim::Time::from_micros(when),
              DenseTimer{&q, &rng, &remaining, when});
     }
-    // The batched per-tick driver the Simulation itself uses.
     sim::Time now{};
     while (q.run_next_tick(sim::Time::max(), now) > 0) {
     }
@@ -91,9 +93,9 @@ void BM_WheelDense(benchmark::State& state) {
 }
 BENCHMARK(BM_WheelDense)->Arg(1000000);
 
-// Far, irregular timers beyond the wheel horizon (>= 2^32 us out):
-// all of them take the indexed-heap fallback, so this pins the cost of
-// the escape hatch rather than the wheel fast path.
+// Far, irregular timers 2^33..2^34 us out: all of them sit at wheel
+// level 4 and cascade through every finer level before they run, so
+// this pins the cost of the far path rather than the level-0 fast path.
 void BM_FarTimer(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   sim::Rng rng(13);
@@ -104,7 +106,8 @@ void BM_FarTimer(benchmark::State& state) {
                  (1ll << 33) +
                  static_cast<std::int64_t>(rng.next_u64() % (1ll << 32))),
              [] {});
-    while (q.pop_and_run()) {
+    sim::Time now{};
+    while (q.run_next_tick(sim::Time::max(), now) > 0) {
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -119,7 +122,8 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     for (int i = 0; i < n; ++i)
       q.push(sim::Time::from_micros(static_cast<std::int64_t>(rng.next_u64() % 1000000)),
              [] {});
-    while (q.pop_and_run()) {
+    sim::Time now{};
+    while (q.run_next_tick(sim::Time::max(), now) > 0) {
     }
   }
   state.SetItemsProcessed(state.iterations() * n);

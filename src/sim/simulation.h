@@ -50,8 +50,8 @@ class Simulation {
 
   // Exact number of live future events — the "queue depth" gauge the
   // telemetry registry samples. Counts every pending event wherever it
-  // resides (tick batch, wheel slot, or overflow heap); cancelled
-  // events leave the count immediately.
+  // resides (wheel slot or tick batch); cancelled events leave the
+  // count immediately.
   std::size_t pending_events() const { return queue_.size(); }
 
  private:

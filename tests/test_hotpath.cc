@@ -273,20 +273,21 @@ TEST(HotPath, PolicyWindowsRecordAndDecideWithoutAllocating) {
 
 TEST(HotPath, WarmedWheelSchedulesCancelsAndCascadesWithoutAllocating) {
   // The timing-wheel guarantee behind the engine's zero-allocation
-  // claim: on a warmed queue, wheel insert (every level), cancel in
-  // every residence, coarse-slot cascades, and per-tick batch
-  // execution — including the multi-event seq sort — touch no
-  // allocator. The wheel's slot heads and bitmaps are fixed in-object;
-  // the slot table, heap, and batch scratch reach their high-water
-  // marks during warm-up and are then reused forever.
+  // claim: on a warmed queue, wheel insert and cancel at levels 0-4,
+  // coarse-slot cascades, and per-tick batch execution — including the
+  // multi-event seq sort — touch no allocator. The wheel's slot heads
+  // and bitmaps are fixed in-object; the slot table and batch scratch
+  // reach their high-water marks during warm-up and are then reused
+  // forever.
   sim::EventQueue q;
   sim::Rng rng(7);
   std::uint64_t ran = 0;
   std::vector<sim::EventHandle> handles;
   handles.reserve(8192);  // above the net high-water mark of the churn
+  Time now;
 
-  // Delays spanning all four wheel levels plus the beyond-horizon heap
-  // fallback, so every residence is exercised while warm.
+  // Delays spanning wheel levels 0 through 4, so pushes, cancels and
+  // cascades reach every one of those levels while warm.
   static constexpr std::int64_t kDelays[] = {1,          40,        300,
                                              70'000,     1 << 22,   1ll << 30,
                                              (1ll << 32) + 3};
@@ -294,28 +295,24 @@ TEST(HotPath, WarmedWheelSchedulesCancelsAndCascadesWithoutAllocating) {
   const auto churn = [&](int rounds) {
     for (int r = 0; r < rounds; ++r) {
       for (int i = 0; i < 64; ++i) {
-        const std::int64_t when =
-            q.next_time() == Time::max()
-                ? kDelays[rng.next_u64() % std::size(kDelays)]
-                : q.next_time().count_micros() +
-                      kDelays[rng.next_u64() % std::size(kDelays)];
-        handles.push_back(
-            q.push(Time::from_micros(when), [&ran] { ++ran; }));
+        const Duration delay =
+            Duration::micros(kDelays[rng.next_u64() % std::size(kDelays)]);
+        handles.push_back(q.push(now + delay, [&ran] { ++ran; }));
       }
-      // Cancel a third: hits wheel, heap, and (rarely) batch residents.
+      // Cancel a third of the pushes, wherever they sit in the wheel.
       for (int i = 0; i < 21 && !handles.empty(); ++i) {
         const std::size_t j = rng.next_u64() % handles.size();
         handles[j].cancel();
         handles[j] = handles.back();
         handles.pop_back();
       }
-      // Drain a few ticks: advance_to cascades across slot and level
-      // boundaries as the clock jumps by the random deltas above.
-      for (int i = 0; i < 40; ++i) q.run_tick();
+      // Drain a few ticks: the settle step cascades across slot and
+      // level boundaries as the clock jumps by the random deltas above.
+      for (int i = 0; i < 40; ++i) q.run_next_tick(Time::max(), now);
     }
   };
 
-  churn(64);  // warm-up: grow slot table, heap, and batch scratch
+  churn(64);  // warm-up: grow slot table and batch scratch
   const std::uint64_t n0 = news();
   const std::uint64_t d0 = deletes();
   const std::uint64_t ran0 = ran;

@@ -1,20 +1,14 @@
-// Sweep engine: grid enumeration, replication statistics, the
-// jobs-invariance determinism contract, and the indexed-heap property
-// test against a lazy-cancellation std::priority_queue oracle.
+// Sweep engine: grid enumeration, replication statistics, and the
+// jobs-invariance determinism contract.
 #include "sweep/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
-#include <memory>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
 #include "core/experiment.h"
-#include "sim/event_queue.h"
-#include "sim/random.h"
 #include "sweep/grid.h"
 #include "sweep/stats.h"
 
@@ -238,118 +232,6 @@ TEST(SweepEngine, CtqoOnsetPerSlice) {
     // Tiny overprovisioned runs never overflow a queue: no onset.
     EXPECT_FALSE(o.found);
   }
-}
-
-// ---------------------------------------------- indexed-heap property
-
-// Lazy-cancellation oracle: the semantics the old event queue had and
-// the new indexed heap must preserve — strict (when, seq) pop order.
-class OracleQueue {
- public:
-  struct Handle {
-    std::shared_ptr<bool> dead;
-    void cancel() {
-      if (dead) *dead = true;
-    }
-  };
-
-  Handle push(sim::Time when, std::uint64_t id) {
-    auto dead = std::make_shared<bool>(false);
-    heap_.push(Entry{when, next_seq_++, id, dead});
-    return Handle{std::move(dead)};
-  }
-
-  // Pops the earliest live entry; returns its id or -1 when empty.
-  std::int64_t pop() {
-    while (!heap_.empty() && *heap_.top().dead) heap_.pop();
-    if (heap_.empty()) return -1;
-    Entry e = heap_.top();
-    heap_.pop();
-    *e.dead = true;
-    return static_cast<std::int64_t>(e.id);
-  }
-
-  std::size_t live_size() {
-    // The lazy heap only knows an upper bound; count the live ones.
-    auto copy = heap_;
-    std::size_t n = 0;
-    while (!copy.empty()) {
-      if (!*copy.top().dead) ++n;
-      copy.pop();
-    }
-    return n;
-  }
-
- private:
-  struct Entry {
-    sim::Time when;
-    std::uint64_t seq;
-    std::uint64_t id;
-    std::shared_ptr<bool> dead;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::uint64_t next_seq_ = 0;
-};
-
-TEST(IndexedHeapProperty, MatchesPriorityQueueOracle) {
-  // Random op mix over both queues; after every op the heap must agree
-  // with the oracle on size, next_time, and the exact pop sequence.
-  sim::EventQueue q;
-  OracleQueue oracle;
-  std::vector<sim::EventHandle> handles;
-  std::vector<OracleQueue::Handle> oracle_handles;
-  std::vector<std::int64_t> fired;  // ids popped from the indexed heap
-  std::vector<std::int64_t> oracle_fired;
-  sim::Rng rng(99);
-  std::uint64_t next_id = 0;
-
-  for (int step = 0; step < 20000; ++step) {
-    const std::uint64_t op = rng.next_u64() % 10;
-    if (op < 5) {  // push (duplicate timestamps on purpose: % 64)
-      const auto when = sim::Time::from_micros(
-          static_cast<std::int64_t>(rng.next_u64() % 64));
-      const std::uint64_t id = next_id++;
-      handles.push_back(q.push(when, [id, &fired] {
-        fired.push_back(static_cast<std::int64_t>(id));
-      }));
-      oracle_handles.push_back(oracle.push(when, id));
-    } else if (op < 8 && !handles.empty()) {  // cancel a random handle
-      const std::size_t i = rng.next_u64() % handles.size();
-      EXPECT_EQ(handles[i].pending(), !*oracle_handles[i].dead);
-      handles[i].cancel();
-      oracle_handles[i].cancel();
-      EXPECT_FALSE(handles[i].pending());
-    } else {  // pop
-      const std::int64_t want = oracle.pop();
-      if (want < 0) {
-        EXPECT_FALSE(q.pop_and_run());
-      } else {
-        ASSERT_TRUE(q.pop_and_run());
-        ASSERT_FALSE(fired.empty());
-        EXPECT_EQ(fired.back(), want);
-        oracle_fired.push_back(want);
-      }
-    }
-    if (step % 512 == 0) {
-      EXPECT_EQ(q.size(), oracle.live_size());
-      EXPECT_EQ(q.empty(), oracle.live_size() == 0);
-    }
-  }
-  // Drain both completely and compare the full pop sequences.
-  for (std::int64_t want = oracle.pop(); want >= 0; want = oracle.pop()) {
-    ASSERT_TRUE(q.pop_and_run());
-    oracle_fired.push_back(want);
-  }
-  EXPECT_FALSE(q.pop_and_run());
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(fired, oracle_fired);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
-// Property tests for the hierarchical timing-wheel front-end: the
-// EventQueue must be observationally identical to a (when, seq)
-// priority queue no matter how events distribute across wheel levels,
-// the beyond-horizon heap fallback, and the per-tick batch. The
-// randomized schedules here deliberately mix same-tick bursts,
-// far-future pushes that cascade through every level, cancels of
-// events in all three residences, and cancel-after-fire no-ops, and
-// check size()/next_time() exactness after every operation.
+// Property tests for the hierarchical timing wheel: the EventQueue must
+// be observationally identical to a (when, seq) priority queue no
+// matter how events distribute across wheel levels and the per-tick
+// batch. The randomized schedules here deliberately mix same-tick
+// bursts, far-future pushes that cascade through every level, slice
+// edges that stop short of the next event, cancels at every level, and
+// cancel-after-fire no-ops, and check size() and the instant
+// run_next_tick reports at every tick.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -94,11 +95,11 @@ class Oracle {
 };
 
 TEST(WheelProperty, MatchesPriorityQueueOracleAcrossLevels) {
-  // Random op mix whose delay menu hits every wheel level (0..3), the
-  // exact level boundaries, and the beyond-horizon (>= 2^32 us) heap
-  // fallback. Draining goes through run_tick — the batched path the
-  // Simulation drives — and time only moves forward, as under the
-  // Simulation facade.
+  // Random op mix whose delay menu hits every wheel level (0..7) and the
+  // exact level boundaries. Draining goes through run_next_tick — the
+  // driver the Simulation uses — and time only moves forward, as under
+  // the Simulation facade: to each tick run, and to the deadline of a
+  // slice once nothing more is due by it.
   EventQueue q;
   Oracle oracle;
   Rng rng(0x5eed);
@@ -112,10 +113,33 @@ TEST(WheelProperty, MatchesPriorityQueueOracleAcrossLevels) {
       0,         1,          3,          200,        255,
       256,       257,        4096,       65535,      65536,
       65537,     1 << 20,    1ll << 24,  (1ll << 24) + 5,
-      1ll << 31, 1ll << 32,  (1ll << 32) + 9,        1ll << 33};
+      1ll << 31, 1ll << 33,  1ll << 40,  1ll << 47,
+      1ll << 52, 1ll << 56,  (1ll << 61) + 3};
+  // A tick or a slice moves the clock at most kMaxStep, so over 30000
+  // steps it stays below 2^62 and now + the largest delay cannot
+  // overflow.
+  static constexpr std::int64_t kMaxStep = 1ll << 47;
 
-  for (int step = 0; step < 30000; ++step) {
-    const std::uint64_t op = rng.next_u64() % 10;
+  // Runs the next tick due by `deadline` on both queues and checks the
+  // events, their order, and the instant the queue reports; with nothing
+  // due, checks that the call runs nothing and leaves the clock alone.
+  // Returns whether a tick ran.
+  const auto tick = [&](std::int64_t deadline) {
+    std::vector<std::uint64_t> want;
+    std::int64_t owhen = now;
+    if (oracle.next_time() <= deadline) want = oracle.pop_tick(&owhen);
+    Time qnow = Time::from_micros(now);
+    fired.clear();
+    EXPECT_EQ(q.run_next_tick(Time::from_micros(deadline), qnow),
+              want.size());
+    EXPECT_EQ(fired, want);
+    EXPECT_EQ(qnow.count_micros(), owhen);
+    now = owhen;
+    return !want.empty();
+  };
+
+  for (int step = 0; step < 30000 && !HasFailure(); ++step) {
+    const std::uint64_t op = rng.next_u64() % 11;
     if (op < 6) {  // push (same-tick duplicates arise from delay 0/1)
       const std::int64_t when =
           now + kDelays[rng.next_u64() % std::size(kDelays)];
@@ -132,81 +156,35 @@ TEST(WheelProperty, MatchesPriorityQueueOracleAcrossLevels) {
       // Idempotent, and a no-op after the event fired.
       handles[i].cancel();
       EXPECT_FALSE(handles[i].pending());
-    } else {  // drain one whole tick through the batched path
+    } else {
       ASSERT_EQ(q.size(), oracle.live());
       ASSERT_EQ(q.empty(), oracle.live() == 0);
-      std::int64_t owhen = 0;
-      const std::vector<std::uint64_t> want = oracle.pop_tick(&owhen);
-      if (want.empty()) {
-        EXPECT_EQ(q.next_time(), Time::max());
-        EXPECT_EQ(q.run_tick(), 0u);
-      } else {
-        // next_time() must surface the exact instant even while the
-        // earliest event still sits in a coarse, not-yet-cascaded slot.
-        ASSERT_EQ(q.next_time().count_micros(), owhen);
-        fired.clear();
-        ASSERT_EQ(q.run_tick(), want.size());
-        ASSERT_EQ(fired, want);
-        now = owhen;  // the facade never schedules into the past
-      }
+      // One tick (op 8, 9) or a slice as Simulation::run_until runs it
+      // (op 10): every tick due by the deadline, then a call whose
+      // deadline lies strictly before the next instant, which must run
+      // nothing. Once nothing is due, the clock moves to the deadline,
+      // and later pushes start from there.
+      const std::int64_t step =
+          op < 10 ? kMaxStep
+                  : std::min(kDelays[rng.next_u64() % std::size(kDelays)],
+                             kMaxStep);
+      const std::int64_t deadline = now + step;
+      bool ran = tick(deadline);
+      while (ran && op == 10) ran = tick(deadline);
+      if (!ran) now = deadline;
     }
   }
 
   // Drain both to empty and compare the complete remaining pop order.
-  for (;;) {
-    ASSERT_EQ(q.size(), oracle.live());
-    std::int64_t owhen = 0;
-    const std::vector<std::uint64_t> want = oracle.pop_tick(&owhen);
-    if (want.empty()) break;
-    ASSERT_EQ(q.next_time().count_micros(), owhen);
-    fired.clear();
-    ASSERT_EQ(q.run_tick(), want.size());
-    ASSERT_EQ(fired, want);
+  while (!HasFailure() && tick(std::numeric_limits<std::int64_t>::max())) {
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), Time::max());
-}
-
-TEST(WheelProperty, SingleSteppingMatchesOracle) {
-  // The same schedule shape driven through pop_and_run — the
-  // single-stepping path with no batching — including pushes at times
-  // the queue has already executed past (legal through the raw API).
-  EventQueue q;
-  Oracle oracle;
-  Rng rng(4242);
-  std::vector<std::uint64_t> fired;
-  std::uint64_t next_id = 0;
-
-  for (int step = 0; step < 20000; ++step) {
-    const std::uint64_t op = rng.next_u64() % 10;
-    if (op < 6) {
-      // Absolute times from a small window: many land before the
-      // current wheel tick and must still fire in (when, seq) order.
-      const std::int64_t when =
-          static_cast<std::int64_t>(rng.next_u64() % 512);
-      const std::uint64_t id = next_id++;
-      q.push(Time::from_micros(when), [id, &fired] { fired.push_back(id); });
-      oracle.push(when, id);
-    } else {
-      std::int64_t owhen = 0;
-      std::vector<std::uint64_t> want = oracle.pop_tick(&owhen);
-      if (want.empty()) {
-        EXPECT_FALSE(q.pop_and_run());
-      } else {
-        for (const std::uint64_t id : want) {
-          fired.clear();
-          ASSERT_TRUE(q.pop_and_run());
-          ASSERT_EQ(fired.size(), 1u);
-          ASSERT_EQ(fired.front(), id);
-        }
-      }
-    }
-  }
+  EXPECT_EQ(oracle.live(), 0u);
 }
 
 TEST(WheelTick, SameInstantPushJoinsTheDrainingBatch) {
   // An event that schedules more work at its own instant sees that
-  // work run in the same run_tick pass, after every previously
+  // work run in the same run_next_tick pass, after every previously
   // scheduled same-instant event (seq order).
   EventQueue q;
   std::vector<int> fired;
@@ -216,66 +194,73 @@ TEST(WheelTick, SameInstantPushJoinsTheDrainingBatch) {
     q.push(t, [&fired] { fired.push_back(3); });
   });
   q.push(t, [&fired] { fired.push_back(2); });
-  EXPECT_EQ(q.run_tick(), 3u);
+  Time now;
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 3u);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(q.empty());
 }
 
 TEST(WheelTick, MixedResidenciesMergeInSeqOrder) {
-  // One instant reached from every residence: a far push that cascades
-  // into the tick (pushed first, so smallest seq), a beyond-horizon
-  // heap event moved within the wheel's range only by its absolute
-  // time, and direct near pushes. The drain must interleave them by
-  // seq even though the wheel slot itself is unordered.
+  // One instant reached two ways: far pushes that cascade down every
+  // level into the tick's level-0 slot (pushed first, so smallest seq),
+  // and direct pushes made once the queue stands in the same 256 µs
+  // window. The drain must interleave them by seq even though the wheel
+  // slot itself is unordered.
   EventQueue q;
   std::vector<int> fired;
   const std::int64_t t = (1ll << 24) + 12345;  // level-3 away from 0
   q.push(Time::from_micros(t), [&fired] { fired.push_back(0); });
   q.push(Time::from_micros(t), [&fired] { fired.push_back(1); });
-  // Burn a nearer tick so the queue advances and cascades the pair.
-  q.push(Time::from_micros(1 << 20), [&fired] { fired.push_back(-1); });
-  EXPECT_EQ(q.run_tick(), 1u);
-  // Now push more events at t from the nearer current tick (they land
-  // in finer levels than the first two did).
+  // Burn a tick just before t: reaching it cascades the pair down to
+  // t's level-0 slot.
+  q.push(Time::from_micros(t - 5), [&fired] { fired.push_back(-1); });
+  Time now;
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 1u);
+  EXPECT_EQ(now.count_micros(), t - 5);
+  // Now push more events at t straight into that level-0 slot.
   q.push(Time::from_micros(t), [&fired] { fired.push_back(2); });
   q.push(Time::from_micros(t), [&fired] { fired.push_back(3); });
   fired.clear();
-  EXPECT_EQ(q.next_time().count_micros(), t);
-  EXPECT_EQ(q.run_tick(), 4u);
+  EXPECT_EQ(q.run_next_tick(Time::from_micros(t - 1), now), 0u);
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 4u);
+  EXPECT_EQ(now.count_micros(), t);
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(WheelSize, CountsEveryResidenceExactly) {
-  // size() and next_time() across the wheel/heap split: wheel-resident
-  // events (all levels), beyond-horizon heap residents, and batch
-  // residents all count, and next_time() is exact before any cascade.
+  // size() across wheel levels, and the earliest instant exact before
+  // any cascade: a deadline just short of it runs nothing, even after
+  // the minimum is cancelled and the front event sits in a coarse slot.
   EventQueue q;
   int ran = 0;
   const auto noop = [&ran] { ++ran; };
 
   EventHandle near = q.push(Time::from_micros(7), noop);        // level 0
   EventHandle mid = q.push(Time::from_micros(70'000), noop);    // level 2
-  EventHandle far = q.push(Time::from_micros(1ll << 33), noop); // heap
+  EventHandle far = q.push(Time::from_micros(1ll << 33), noop); // level 4
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.next_time().count_micros(), 7);
+  Time now;
+  EXPECT_EQ(q.run_next_tick(Time::from_micros(6), now), 0u);
+  EXPECT_EQ(now, Time::origin());
 
-  // Cancelling the minimum re-exposes the exact coarse-slot time.
+  // Cancelling the minimum re-exposes the coarse-slot time.
   near.cancel();
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.next_time().count_micros(), 70'000);
+  EXPECT_EQ(q.run_next_tick(Time::from_micros(69'999), now), 0u);
+  EXPECT_EQ(now, Time::origin());
 
-  // A heap-resident cancel is also exact and immediate.
+  // A cancel at a coarser level is also exact and immediate.
   far.cancel();
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time().count_micros(), 70'000);
   EXPECT_TRUE(mid.pending());
 
-  EXPECT_EQ(q.run_tick(), 1u);
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 1u);
+  EXPECT_EQ(now.count_micros(), 70'000);
   EXPECT_EQ(ran, 1);
   EXPECT_FALSE(mid.pending());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), Time::max());
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 0u);
 }
 
 TEST(WheelCancel, CancelDuringDrainSkipsBatchedEntry) {
@@ -291,7 +276,8 @@ TEST(WheelCancel, CancelDuringDrainSkipsBatchedEntry) {
   });
   doomed = q.push(t, [&fired] { fired.push_back(2); });
   q.push(t, [&fired] { fired.push_back(3); });
-  EXPECT_EQ(q.run_tick(), 2u);
+  Time now;
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 2u);
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
   EXPECT_EQ(q.size(), 0u);
 }
