@@ -1,4 +1,4 @@
-// Byte pins on the rendered reports of one 3-tier run and one service
+// Byte pins on the rendered reports of two 3-tier runs and one service
 // graph run: the run manifest, the HTML dashboard, and the summary /
 // correlation text. Each string is reduced to its (size, FNV-1a-64)
 // fingerprint, so any change to the report path, the telemetry it reads
@@ -52,6 +52,27 @@ TEST(ReportPin, NTierLogFlush) {
   EXPECT_EQ(pin(report::render_dashboard(*sys, summary.ctqo, corr, sys->obs())),
             "108057:519409ca93d5b182");
   EXPECT_EQ(pin(summary.to_string()), "646:a2312f5bdb72a612");
+}
+
+// The paper's headline run (fig 1 at WL 8000), cut short: consolidation
+// bursts on the app tier's core overflow the front queue, so the report
+// carries drops, VLRT windows and an upstream saturation -> drops -> VLRT
+// chain, and the percentiles read a multi-modal latency sample.
+TEST(ReportPin, SyncCtqo) {
+  auto cfg = core::scenarios::fig1_multimodal(8000);
+  cfg.duration = Duration::seconds(60);
+  auto sys = core::run_system(cfg);
+
+  const core::ExperimentSummary summary = core::summarize(*sys);
+  const core::CorrelationReport corr = core::correlate(*sys);
+  ASSERT_GT(summary.total_drops, 0u);
+  ASSERT_GT(summary.ctqo.upstream_episodes, 0u);
+  ASSERT_EQ(corr.propagation, core::Propagation::kUpstream);
+  ASSERT_FALSE(corr.chains.empty());
+  EXPECT_EQ(pin(core::run_manifest_json(*sys, &summary.ctqo)), "844:63ffb9b42828ca88");
+  EXPECT_EQ(pin(report::render_dashboard(*sys, summary.ctqo, corr)),
+            "129913:bc67fb6d42f78bbb");
+  EXPECT_EQ(pin(summary.to_string() + corr.to_string()), "1399:2edf209f4b675840");
 }
 
 // Fan-out with a replicated p2c group whose replica 0 freezes: takes the
