@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdio>
 
+#include "metrics/rank_select.h"
+
 namespace ntier::metrics {
 
 LinearHistogram::LinearHistogram(sim::Duration bin_width, sim::Duration max_value)
@@ -24,21 +26,15 @@ void LinearHistogram::record_n(sim::Duration value, std::uint64_t n) {
   if (idx >= bins_.size()) idx = bins_.size() - 1;
   bins_[idx] += n;
   for (std::uint64_t i = 0; i < n; ++i) raw_us_.push_back(value.count_micros());
-  sorted_ = false;
+  placed_.clear();
   total_ += n;
   sum_us_ += static_cast<std::int64_t>(n) * value.count_micros();
 }
 
 sim::Duration LinearHistogram::percentile(double p) const {
   if (raw_us_.empty()) return sim::Duration::zero();
-  if (!sorted_) {
-    auto& raw = const_cast<std::vector<std::int64_t>&>(raw_us_);
-    std::sort(raw.begin(), raw.end());
-    sorted_ = true;
-  }
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  auto rank = static_cast<std::size_t>(clamped / 100.0 * (raw_us_.size() - 1) + 0.5);
-  return sim::Duration::micros(raw_us_[rank]);
+  return sim::Duration::micros(
+      select_rank(raw_us_, placed_, percentile_rank(p, raw_us_.size())));
 }
 
 sim::Duration LinearHistogram::min() const { return percentile(0.0); }

@@ -3,7 +3,10 @@
 // Two shapes are needed by the paper's artifacts:
 //  * LinearHistogram — fixed-width bins over [0, max), used for the
 //    "frequency by response time" semi-log plots (Fig 1, 100 ms bins).
-//  * Recorded percentiles/modes on the same data.
+//  * Recorded percentiles/modes on the same data. Percentiles are exact:
+//    the raw sample is kept and each queried rank is placed by
+//    metrics::select_rank (an incremental quickselect, no sort and no
+//    copy); record() forgets the placed ranks.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +32,10 @@ class LinearHistogram {
   // Lower edge of bin i.
   sim::Duration bin_lower(std::size_t i) const { return bin_width_ * static_cast<std::int64_t>(i); }
 
-  // Exact quantile over the recorded sample (uses the raw value list).
+  // Exact quantile over the recorded sample: the raw value at the nearest
+  // rank of p in [0, 100] as a sorted copy would hold it. Reorders the raw
+  // list in place (see select_rank), so the first query after record()
+  // costs one linear pass and later ones only their bracket.
   sim::Duration percentile(double p) const;
   sim::Duration min() const;
   sim::Duration max() const;
@@ -50,8 +56,10 @@ class LinearHistogram {
  private:
   sim::Duration bin_width_;
   std::vector<std::uint64_t> bins_;
-  std::vector<std::int64_t> raw_us_;  // raw sample for exact percentiles
-  mutable bool sorted_ = true;
+  // Raw sample for exact percentiles; percentile() permutes it and keeps
+  // the ranks it has placed (ascending) in placed_.
+  mutable std::vector<std::int64_t> raw_us_;
+  mutable std::vector<std::size_t> placed_;
   std::uint64_t total_ = 0;
   std::int64_t sum_us_ = 0;
 };

@@ -1,9 +1,10 @@
 #include "metrics/quantile_timeline.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <cassert>
+#include <cstdio>
 #include <stdexcept>
+
+#include "metrics/rank_select.h"
 
 namespace ntier::metrics {
 
@@ -36,15 +37,15 @@ void QuantileTimeline::close_window() {
     open_ = false;
     return;
   }
-  std::sort(buffer_us_.begin(), buffer_us_.end());
   const sim::Time wstart =
       sim::Time::origin() + window_ * static_cast<std::int64_t>(current_window_);
   for (std::size_t i = 0; i < qs_.size(); ++i) {
-    const auto rank = static_cast<std::size_t>(
-        qs_[i] / 100.0 * static_cast<double>(buffer_us_.size() - 1) + 0.5);
-    lines_[i].set(wstart, static_cast<double>(buffer_us_[rank]) / 1000.0);
+    const std::size_t rank = percentile_rank(qs_[i], buffer_us_.size());
+    lines_[i].set(wstart,
+                  static_cast<double>(select_rank(buffer_us_, placed_, rank)) / 1000.0);
   }
   buffer_us_.clear();
+  placed_.clear();
   open_ = false;
 }
 

@@ -2,8 +2,8 @@
 // millibottlenecks visible as latency spikes even when no packet drops.
 //
 // Samples are buffered per window and reduced when the window closes
-// (exact quantiles per window; memory is bounded by one window's
-// completions).
+// (exact quantiles per window, each rank placed by select_rank rather
+// than a sort; memory is bounded by one window's completions).
 #pragma once
 
 #include <cstdint>
@@ -44,6 +44,7 @@ class QuantileTimeline {
   sim::Duration window_;
   std::vector<Timeline> lines_;
   std::vector<std::int64_t> buffer_us_;
+  std::vector<std::size_t> placed_;  // select_rank's placed ranks in buffer_us_
   std::size_t current_window_ = 0;
   bool open_ = false;
 };

@@ -26,6 +26,8 @@ class Timeline {
   void max_in(sim::Time t, double value);
 
   std::size_t window_count() const { return values_.size(); }
+  // Every recorded window's value, window 0 first (window_count() long).
+  const std::vector<double>& values() const { return values_; }
   double value_at(std::size_t i) const { return i < values_.size() ? values_[i] : 0.0; }
   double value_at_time(sim::Time t) const { return value_at(index_of(t)); }
   sim::Time window_start(std::size_t i) const {

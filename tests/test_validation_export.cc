@@ -1,8 +1,11 @@
 // Tests for QuantileTimeline, the run validator, and CSV run export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/export.h"
@@ -30,6 +33,42 @@ TEST(QuantileTimeline, PerWindowQuantiles) {
   EXPECT_NEAR(q.series(50.0).value_at(0), 50.0, 1.5);
   EXPECT_NEAR(q.series(99.0).value_at(0), 99.0, 1.5);
   EXPECT_NEAR(q.series(50.0).value_at(1), 7.0, 0.01);
+}
+
+// Oracle: every window's value is the sorted copy of that window's
+// samples read at each quantile's nearest rank. Window sizes run from
+// empty through 1 and 2 to a few hundred; quantiles are queried out of
+// ascending order and include 100.
+TEST(QuantileTimeline, MatchesPerWindowSortOracle) {
+  const std::vector<double> qs = {99.0, 50.0, 100.0, 0.5, 99.9};
+  metrics::QuantileTimeline q(qs, Duration::millis(50));
+  std::mt19937_64 rng(42);
+  constexpr std::size_t kSizes[] = {0, 1, 2, 7, 40, 400};
+  std::vector<std::vector<std::int64_t>> windows(300);
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const std::size_t n = kSizes[rng() % 6];
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto v = static_cast<std::int64_t>(rng() % 5000) * (rng() % 8 == 0 ? 600 : 1);
+      windows[w].push_back(v);
+      q.record(Time::origin() + Duration::millis(50) * static_cast<std::int64_t>(w) +
+                   Duration::micros(static_cast<std::int64_t>(i)),
+               Duration::micros(v));
+    }
+  }
+  q.flush();
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    std::vector<std::int64_t> sorted = windows[w];
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : qs) {
+      double expect = 0.0;
+      if (!sorted.empty()) {
+        const auto rank = static_cast<std::size_t>(
+            p / 100.0 * static_cast<double>(sorted.size() - 1) + 0.5);
+        expect = static_cast<double>(sorted[rank]) / 1000.0;
+      }
+      ASSERT_EQ(q.series(p).value_at(w), expect) << "window " << w << " p" << p;
+    }
+  }
 }
 
 TEST(QuantileTimeline, EmptyWindowStaysZero) {
