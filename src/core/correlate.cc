@@ -267,10 +267,12 @@ CorrelationReport correlate_signals(const SignalSet& s, CorrelateOptions opt) {
   }
   std::stable_sort(all.begin(), all.end(),
                    [](const CausalChain& a, const CausalChain& b) { return a.score > b.score; });
-  for (const auto& c : all)
-    if (c.score >= opt.min_link_r) rep.chains.push_back(c);
+  for (auto& c : all)
+    if (c.score >= opt.min_link_r) rep.chains.push_back(std::move(c));
 
-  // Conclusion: dominant drop tier + the best chain explaining it.
+  // Conclusion: dominant drop tier + the best surviving chain explaining
+  // it. Drops that no chain above min_link_r explains name their tier
+  // but carry no bottleneck and no direction.
   double best_drops = 0.0;
   for (std::size_t i = 0; i < s.tiers.size(); ++i) {
     if (drop_totals[i] > best_drops) {
@@ -282,15 +284,19 @@ CorrelationReport correlate_signals(const SignalSet& s, CorrelateOptions opt) {
     rep.propagation = Propagation::kAbsent;
   } else {
     rep.drop_tier_name = s.tiers[static_cast<std::size_t>(rep.drop_tier)].name;
-    for (const auto& c : all) {
+    for (const auto& c : rep.chains) {
       if (c.drop_tier == rep.drop_tier) {
         rep.bottleneck_tier = c.bottleneck_tier;
         rep.bottleneck_series = c.saturation_series;
         break;
       }
     }
-    rep.propagation = rep.drop_tier < rep.bottleneck_tier ? Propagation::kUpstream
-                                                          : Propagation::kDownstream;
+    if (rep.bottleneck_tier < 0) {
+      rep.propagation = Propagation::kAbsent;
+    } else {
+      rep.propagation = rep.drop_tier < rep.bottleneck_tier ? Propagation::kUpstream
+                                                            : Propagation::kDownstream;
+    }
   }
 
   // Queue-onset evidence: when each queue first hit half its own peak.

@@ -31,7 +31,9 @@
 // RPC waits (upstream CTQO, fully synchronous stacks), drops at or
 // *below* it mean an asynchronous upstream flooded it (downstream
 // CTQO), and no drops at all means the chain absorbed the burst
-// (fully asynchronous stacks).
+// (fully asynchronous stacks). Drops that no chain above min_link_r
+// explains are named but classified absent: there is no evidence of
+// where the pressure came from.
 //
 // Determinism: lag sweeps ascend and only a strictly greater r replaces
 // the incumbent, candidate enumeration order is fixed (front-to-back
@@ -79,19 +81,22 @@ const char* to_string(Propagation p);
 
 // The correlation engine's full answer over one run's telemetry.
 struct CorrelationReport {
-  // All chains, best first (score desc; enumeration order breaks ties).
+  // Chains whose score reaches min_link_r, best first (score desc;
+  // enumeration order breaks ties).
   std::vector<CausalChain> chains;
   // Every candidate series correlated directly against VLRT, r desc —
   // the "ranked pairs" table a human would scan for spurious matches.
   std::vector<LagCorrelation> direct;
 
   // Conclusion: drawn from the dominant drop tier (most drops) and the
-  // best chain explaining it.
+  // best surviving chain (an entry of `chains`) explaining it. With no
+  // drops, or drops that no surviving chain explains, propagation is
+  // kAbsent and bottleneck_tier stays -1; the drop tier is still named.
   Propagation propagation = Propagation::kAbsent;
   int drop_tier = -1;
   std::string drop_tier_name;
   int bottleneck_tier = -1;
-  std::string bottleneck_series;  // saturation series of the best chain
+  std::string bottleneck_series;  // saturation series of that chain
 
   // Supporting evidence: when each tier's queue first reached half its
   // run maximum (seconds; -1 when the queue never grew). Upstream CTQO

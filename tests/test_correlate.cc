@@ -302,3 +302,21 @@ TEST(Correlate, Fig5FindsDbDiskSaturationAtOneRto) {
   EXPECT_GT(top.rto.r, 0.9);
   EXPECT_GT(top.score, 0.5);
 }
+
+TEST(Correlate, ConclusionComesFromSurvivingChains) {
+  // Fig 1 at WL 8000 cut to 40 s: apache drops packets, but no VLRT
+  // lands after measure_from, so every chain scores 0 and is pruned. The
+  // conclusion must not fall back to a pruned chain: the drop tier is
+  // named, and there is no bottleneck and no direction.
+  auto cfg = core::scenarios::fig1_multimodal(8000);
+  cfg.duration = Duration::seconds(40);
+  auto sys = core::run_system(cfg);
+  const auto rep = core::correlate(*sys);
+  EXPECT_EQ(rep.drop_tier_name, "apache");
+  EXPECT_TRUE(rep.chains.empty());
+  EXPECT_EQ(rep.propagation, core::Propagation::kAbsent);
+  EXPECT_EQ(rep.bottleneck_tier, -1);
+  EXPECT_TRUE(rep.bottleneck_series.empty());
+  EXPECT_EQ(rep.to_string().rfind("correlation report: propagation=absent drops at apache\n", 0),
+            0u);
+}
