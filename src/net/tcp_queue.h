@@ -15,16 +15,15 @@
 //                 *accepted* instead of dropped, but the cookie slow
 //                 path costs extra server work (SyncConfig::
 //                 cookie_penalty). Overflow admits are counted in
-//                 cookie_admits() and the depth may exceed capacity().
+//                 cookie_admits() and the backlog may grow beyond
+//                 capacity().
 //   kBypass     — kernel-bypass transport (eRPC-style): there is no
 //                 kernel queue to overflow; every request is admitted
 //                 into userspace queueing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "sim/time.h"
 
 namespace ntier::net {
 
@@ -34,18 +33,17 @@ namespace ntier::net {
 enum class AdmissionMode { kTcpDrop, kSynCookies, kBypass };
 const char* to_string(AdmissionMode m);
 
-// The bounded accept queue of one server, with its admission mode and
-// overflow counters.
+// The admission rule of one server's accept queue: its capacity, its
+// admission mode and the SYN-cookie overflow counter. The server owns
+// the waiting requests and passes their count to try_admit().
 class TcpQueue {
  public:
   // A queue holding at most `capacity` waiting requests (in kTcpDrop
   // mode; cookie/bypass modes may exceed it).
   explicit TcpQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  // Capacity, current depth, and whether the next kTcpDrop arrival drops.
+  // Waiting requests a kTcpDrop backlog holds before it drops.
   std::size_t capacity() const { return capacity_; }
-  std::size_t depth() const { return depth_; }
-  bool full() const { return depth_ >= capacity_; }
 
   // The overflow behaviour (set once at wiring time, before traffic).
   AdmissionMode mode() const { return mode_; }
@@ -55,50 +53,22 @@ class TcpQueue {
   // overflow admit (slow path), or a drop.
   enum class Admit { kSlot, kCookie, kDrop };
 
-  // Admits one request per the admission mode; records the drop (and
-  // its time) in kTcpDrop mode, the overflow admit in kSynCookies mode.
-  Admit try_admit(sim::Time now) {
-    if (depth_ >= capacity_) {
-      switch (mode_) {
-        case AdmissionMode::kTcpDrop:
-          ++drops_;
-          drop_times_.push_back(now);
-          return Admit::kDrop;
-        case AdmissionMode::kSynCookies:
-          ++cookie_admits_;
-          ++depth_;
-          return Admit::kCookie;
-        case AdmissionMode::kBypass:
-          ++depth_;
-          return Admit::kSlot;
-      }
-    }
-    ++depth_;
-    return Admit::kSlot;
+  // Admits one request per the admission mode, given `depth` requests
+  // already waiting; counts the overflow admit in kSynCookies mode.
+  Admit try_admit(std::size_t depth) {
+    if (depth < capacity_ || mode_ == AdmissionMode::kBypass) return Admit::kSlot;
+    if (mode_ == AdmissionMode::kTcpDrop) return Admit::kDrop;
+    ++cookie_admits_;
+    return Admit::kCookie;
   }
 
-  // Admits one request; returns false (and records the drop) when full
-  // in kTcpDrop mode. Convenience wrapper over try_admit().
-  bool try_push(sim::Time now) { return try_admit(now) != Admit::kDrop; }
-
-  // Removes one queued request (a worker picked it up).
-  void pop() {
-    if (depth_ > 0) --depth_;
-  }
-
-  // Total packets dropped (kTcpDrop overflow), and each drop's instant.
-  std::uint64_t drops() const { return drops_; }
-  const std::vector<sim::Time>& drop_times() const { return drop_times_; }
   // Overflow admissions taken on the SYN-cookie slow path.
   std::uint64_t cookie_admits() const { return cookie_admits_; }
 
  private:
   std::size_t capacity_;
-  std::size_t depth_ = 0;
   AdmissionMode mode_ = AdmissionMode::kTcpDrop;
-  std::uint64_t drops_ = 0;
   std::uint64_t cookie_admits_ = 0;
-  std::vector<sim::Time> drop_times_;
 };
 
 }  // namespace ntier::net

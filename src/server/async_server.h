@@ -44,30 +44,23 @@ class AsyncServer : public Server {
   bool do_offer(Job job) override;
   // Crash: parked-but-unstarted connections are reset with a failure
   // reply; work already in a processing step drains.
-  void abort_queued() override;
+  void abort_queued() override { abort_waiting(wait_q_); }
+  // Event-driven call: the request parks and frees its active slot; the
+  // reply re-enters through the resume queue (Fig 14's eventHandler).
+  void on_downstream(const VisitPtr& v) override;
+  void on_finish(const VisitPtr&) override {
+    --active_;
+    pump();
+  }
 
  private:
-  // Per-admission execution state, slab-pooled (closures capture a
-  // 16-byte CtxPtr; the Program is shared per class).
-  struct Ctx {
-    Job job;
-    const Program* prog = nullptr;
-    std::size_t pc = 0;
-    std::uint64_t hop = trace::kNoSpan;    // this server's visit span
-    std::uint64_t qspan = trace::kNoSpan;  // open run-queue wait, if parked
-    sim::Time enq{};  // wait-queue entry time (overload sojourn accounting)
-  };
-  using CtxPtr = sim::PoolRef<Ctx>;
-
-  static sim::SlabPool<Ctx>& ctx_pool();
+  // Starts waiting visits while an active slot is free.
   void pump();
-  void run_step(const CtxPtr& ctx);  // holds an active slot
-  void release_slot() { --active_; }
 
   AsyncConfig cfg_;
   std::size_t active_ = 0;
-  std::deque<CtxPtr> wait_q_;    // admitted, not yet started
-  std::deque<CtxPtr> resume_q_;  // downstream reply arrived, continue
+  std::deque<VisitPtr> wait_q_;    // admitted, not yet started
+  std::deque<VisitPtr> resume_q_;  // downstream reply arrived, continue
 };
 
 }  // namespace ntier::server

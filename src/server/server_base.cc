@@ -79,15 +79,15 @@ sim::SlabPool<JoinState>& join_pool() {
 Server::Server(sim::Simulation& sim, std::string name, cpu::VmCpu* vm,
                const AppProfile* profile,
                std::function<Program(const RequestClassProfile&)> program_fn)
-    : sim_(sim),
-      name_(std::move(name)),
-      vm_(vm),
-      profile_(profile),
-      program_fn_(std::move(program_fn)) {
-  assert(profile_ != nullptr);
-  programs_.reserve(profile_->classes.size());
-  for (const RequestClassProfile& c : profile_->classes)
-    programs_.push_back(program_fn_(c));
+    : sim_(sim), name_(std::move(name)), vm_(vm) {
+  assert(profile != nullptr);
+  programs_.reserve(profile->classes.size());
+  for (const RequestClassProfile& c : profile->classes) programs_.push_back(program_fn(c));
+}
+
+sim::SlabPool<Server::Visit>& Server::visit_pool() {
+  thread_local sim::SlabPool<Visit> pool;
+  return pool;
 }
 
 void Server::connect_downstream(Server* next, net::RtoPolicy rto, net::Link link) {
@@ -118,10 +118,10 @@ void Server::enable_overload_control(const policy::overload::OverloadPolicy& p) 
 }
 
 bool Server::offer(Job job) {
+  ++stats_.offered;
   if (down_) {
     // Crashed: the connection is refused. To the sender this is the same
     // unacked packet as a full accept queue — it retransmits per its RTO.
-    note_offer();
     ++stats_.refused_down;
     trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
                   sim_.now(), /*detail=*/1);
@@ -132,7 +132,6 @@ bool Server::offer(Job job) {
     // Over budget: cancel instead of queueing. The packet is *accepted*
     // (returning true) so the sender does not retransmit cancelled work;
     // the failure reply unwinds the chain immediately.
-    note_offer();
     ++stats_.expired;
     job.req->failed = true;
     job.req->deadline_expired = true;
@@ -158,7 +157,6 @@ bool Server::offer(Job job) {
         }
         break;
       case Decision::kShed:
-        note_offer();
         if (overload_->policy().shed_mode == ShedMode::kTcpDrop) {
           // Paper baseline: refuse the packet like a full accept queue;
           // the sender's TCP stack retransmits per its RTO.
@@ -179,13 +177,97 @@ void Server::set_down(bool down, bool abort_queued_work) {
   if (down && abort_queued_work) abort_queued();
 }
 
-void Server::abort_job(Job job) {
-  ++stats_.aborted;
-  job.req->failed = true;
-  // The aborted job still gets a (failure) reply, preserving the
-  // conservation invariant accepted == completed + in-system.
+Server::VisitPtr Server::admit(Job job) {
+  ++stats_.accepted;
+  ++in_system_;
+  VisitPtr v = visit_pool().make();
+  v->prog = &programs_[job.req->class_index];
+  v->job = std::move(job);
+  v->hop = trace_open(v->job.req, trace::SpanKind::kHop, name_, v->job.parent_span,
+                      sim_.now());
+  return v;
+}
+
+void Server::run_program(const VisitPtr& v) {
+  for (; v->pc < v->prog->size(); ++v->pc) {
+    const WorkStep& step = (*v->prog)[v->pc];
+    switch (step.kind) {
+      case WorkStep::Kind::kCpu: {
+        if (step.amount <= sim::Duration::zero()) continue;
+        const sim::Duration demand = cpu_demand(step.amount);
+        // The service span includes CPU-contention stall (demand vs wall
+        // time inside VmCpu) — it measures occupancy, not pure work.
+        const std::uint64_t sp = trace_open(v->job.req, trace::SpanKind::kService, name_,
+                                            v->hop, sim_.now());
+        vm_->submit(demand, [this, v, sp] { step_done(v, sp); });
+        return;
+      }
+      case WorkStep::Kind::kDisk: {
+        assert(io_ != nullptr && "kDisk step requires attach_io()");
+        const std::uint64_t sp = trace_open(v->job.req, trace::SpanKind::kDisk, name_,
+                                            v->hop, sim_.now());
+        io_->submit_service(step.amount, [this, v, sp] { step_done(v, sp); });
+        return;
+      }
+      case WorkStep::Kind::kDownstream:
+        // Brownout: the degraded response skips the downstream chain.
+        if (v->job.req->degraded) continue;
+        on_downstream(v);
+        return;
+    }
+  }
   note_reply();
-  job.reply(job.req);
+  trace_close(v->job.req, v->hop, sim_.now());
+  v->job.reply(v->job.req);
+  on_finish(v);
+}
+
+void Server::step_done(const VisitPtr& v, std::uint64_t span) {
+  trace_close(v->job.req, span, sim_.now());
+  ++v->pc;
+  run_program(v);
+}
+
+void Server::park(std::deque<VisitPtr>& q, VisitPtr v, trace::SpanKind kind,
+                  const std::string& site) {
+  v->wait = trace_open(v->job.req, kind, site, v->hop, sim_.now());
+  v->enq = sim_.now();
+  q.push_back(std::move(v));
+}
+
+Server::VisitPtr Server::take_waiting(std::deque<VisitPtr>& q, bool fresh) {
+  auto next = policy::overload::pop_next(
+      fresh ? overload() : nullptr, q, sim_.now(), [](const VisitPtr& v) { return v->enq; },
+      [this](VisitPtr v) {
+        trace_close(v->job.req, v->wait, sim_.now());
+        trace_close(v->job.req, v->hop, sim_.now());
+        shed_job(std::move(v->job), /*accepted=*/true, /*detail=*/2);
+      });
+  if (!next) return nullptr;
+  trace_close((*next)->job.req, (*next)->wait, sim_.now());
+  return std::move(*next);
+}
+
+void Server::abort_waiting(std::deque<VisitPtr>& q) {
+  while (!q.empty()) {
+    VisitPtr v = std::move(q.front());
+    q.pop_front();
+    trace_close(v->job.req, v->wait, sim_.now());
+    trace_close(v->job.req, v->hop, sim_.now());
+    ++stats_.aborted;
+    v->job.req->failed = true;
+    // The aborted job still gets a (failure) reply, preserving the
+    // conservation invariant accepted == completed + in-system.
+    note_reply();
+    v->job.reply(v->job.req);
+  }
+}
+
+bool Server::refuse(const Job& job) {
+  note_drop();
+  trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span, sim_.now(),
+                /*detail=*/0);
+  return false;
 }
 
 void Server::shed_job(Job job, bool accepted, int detail) {

@@ -26,12 +26,24 @@
 //    no events and draws no randomness — a traced run is event-for-event
 //    identical to an untraced one at the same seed.
 //
-// Hot-path memory: dispatch bookkeeping (DispatchState, per-attempt
-// policy state) is slab-pooled and every callback is an InlineFn, so a
-// steady-state request costs no allocations here (docs/PERFORMANCE.md).
+// One interpreter runs every model. A request's pass through a server
+// is a slab-pooled Visit (job, program counter, open spans), and
+// run_program executes its CPU and disk steps and sends the reply. The
+// models differ only in admission and slot accounting: SyncServer's
+// worker keeps its thread across the downstream call, while
+// AsyncServer and StagedServer park the visit and resume it from a
+// queue. Each model plugs in through three hooks (cpu_demand,
+// on_downstream, on_finish) and keeps its waiting queues as deques of
+// visits, using admit, park, take_waiting and abort_waiting.
+//
+// Hot-path memory: visits and dispatch bookkeeping (DispatchState,
+// per-attempt policy state) are slab-pooled and every callback is an
+// InlineFn, so a steady-state request costs no allocations here while
+// the waiting queues stay empty (docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -170,39 +182,54 @@ class Server {
   Server* downstream() const { return downstream_; }
 
  protected:
+  // One request's pass through this server: the admitted job, its
+  // per-class program and program counter, and its open trace spans.
+  // Slab-pooled; waiting queues and event closures hold a 16-byte ref.
+  struct Visit {
+    Job job;
+    const Program* prog = nullptr;
+    std::size_t pc = 0;
+    std::uint64_t hop = trace::kNoSpan;   // this server's visit span
+    std::uint64_t wait = trace::kNoSpan;  // open queue or pool wait span
+    sim::Time enq{};      // queue entry time (overload sojourn accounting)
+    bool cookie = false;  // sync: admitted on the SYN-cookie slow path
+    bool cont = false;    // staged: holds a continuation-stage thread
+  };
+  using VisitPtr = sim::PoolRef<Visit>;
+
   // Model-specific admission (thread pool, lite queue, staged ingress).
   virtual bool do_offer(Job job) = 0;
-  // Crash hook: fail-and-reply every admitted-but-unstarted job. Models
-  // in-flight work lost on crash; implementations call abort_job().
-  virtual void abort_queued() {}
+  // Crash hook: abort_waiting on the model's queue of unstarted work.
+  virtual void abort_queued() = 0;
 
-  // Per-class programs are pure functions of the class profile, so they
-  // are built once at construction and shared by reference — the per-
-  // request Program copy (a vector allocation) is gone.
-  const Program& program_for(const Request& r) const {
-    return programs_[r.class_index];
-  }
+  // --- the interpreter's hooks ---------------------------------------------
+  // The CPU demand of a kCpu step of `amount` (SyncServer inflates it
+  // with its per-thread overhead).
+  virtual sim::Duration cpu_demand(sim::Duration amount) const { return amount; }
+  // A kDownstream step of a request that is not degraded: dispatch it,
+  // then resume with ++pc and run_program.
+  virtual void on_downstream(const VisitPtr& v) = 0;
+  // After the reply: frees the visit's slot.
+  virtual void on_finish(const VisitPtr& v) = 0;
 
-  void note_offer() { ++stats_.offered; }
-  void note_accept() { ++stats_.accepted; ++in_system_; }
-  void note_drop() {
-    ++stats_.dropped;
-    drop_times_.push_back(sim_.now());
-  }
-  void note_reply() { ++stats_.completed; --in_system_; }
-
-  // Answers `job` with a connection-reset failure right now (used by
-  // abort_queued implementations; keeps accepted = completed + in-system).
-  void abort_job(Job job);
-
-  // Answers `job` with a retryable overload rejection: marks it
-  // failed + overload_shed and replies after a tiny fixed service cost
-  // (an error page is cheap but still crosses the wire). `accepted` says
-  // whether the job was already admitted (dequeue-time shed), so the
-  // accepted == completed + in-system invariant holds either way.
-  // `detail` distinguishes the shed site in the trace (0 = admission,
-  // 2 = dequeue).
-  void shed_job(Job job, bool accepted, int detail);
+  // Counts the admission and opens the visit's hop span.
+  VisitPtr admit(Job job);
+  // Runs the program from v->pc: kCpu and kDisk steps, kDownstream via
+  // on_downstream (skipped for a brownout-degraded request), then the
+  // reply and on_finish.
+  void run_program(const VisitPtr& v);
+  // Appends `v` to a waiting queue, opening its wait span.
+  void park(std::deque<VisitPtr>& q, VisitPtr v, trace::SpanKind kind, const std::string& site);
+  // Pops the next visit and closes its wait span; null when none is
+  // left. A `fresh` queue of unstarted arrivals goes through the
+  // overload controller's discipline (adaptive-LIFO picks, CoDel and
+  // stale sheds); resumed work is committed and leaves FIFO.
+  VisitPtr take_waiting(std::deque<VisitPtr>& q, bool fresh);
+  // Answers every visit on `q` with a connection-reset failure (a crash
+  // loses work that has not started).
+  void abort_waiting(std::deque<VisitPtr>& q);
+  // Refuses the offered packet: counts and traces the drop; returns false.
+  bool refuse(const Job& job);
 
   // Sends the request downstream with retransmission-on-drop; `on_reply`
   // fires after the downstream tier replies (return-link latency
@@ -220,9 +247,26 @@ class Server {
   sim::Simulation& sim_;
   std::string name_;
   cpu::VmCpu* vm_;
+
+ private:
+  void note_drop() {
+    ++stats_.dropped;
+    drop_times_.push_back(sim_.now());
+  }
+  void note_reply() { ++stats_.completed; --in_system_; }
+  // Answers `job` with a retryable overload rejection: marks it
+  // failed + overload_shed and replies after a tiny fixed service cost
+  // (an error page is cheap but still crosses the wire). `accepted` says
+  // whether the job was already admitted (dequeue-time shed), so the
+  // accepted == completed + in-system invariant holds either way.
+  // `detail` distinguishes the shed site in the trace (0 = admission,
+  // 2 = dequeue).
+  void shed_job(Job job, bool accepted, int detail);
+  // Completes a CPU or disk step: closes its span and runs on.
+  void step_done(const VisitPtr& v, std::uint64_t span);
+  static sim::SlabPool<Visit>& visit_pool();
+
   cpu::IoDevice* io_ = nullptr;
-  const AppProfile* profile_;
-  std::function<Program(const RequestClassProfile&)> program_fn_;
   std::vector<Program> programs_;  // one per request class, built once
 
   Server* downstream_ = nullptr;
@@ -236,7 +280,6 @@ class Server {
   std::size_t in_system_ = 0;
   std::vector<sim::Time> drop_times_;
 
- private:
   using StPtr = sim::PoolRef<detail::DispatchState>;
   using GaPtr = sim::PoolRef<detail::GovAttempt>;
   // One route's worth of dispatch (route == nullptr: the legacy single

@@ -55,33 +55,26 @@ class StagedServer : public Server {
   bool do_offer(Job job) override;
   // Crash: the bounded ingress queue is dropped with failure replies;
   // continuation work (already past a downstream round trip) drains.
-  void abort_queued() override;
+  void abort_queued() override { abort_waiting(ingress_q_); }
+  // Releases the stage thread; the reply re-enters through the
+  // continuation queue (unbounded: the request is already ours).
+  void on_downstream(const VisitPtr& v) override;
+  void on_finish(const VisitPtr& v) override {
+    release(*v);
+    pump();
+  }
 
  private:
-  // Per-admission execution state, slab-pooled (closures capture a
-  // 16-byte CtxPtr; the Program is shared per class).
-  struct Ctx {
-    Job job;
-    const Program* prog = nullptr;
-    std::size_t pc = 0;
-    std::uint64_t hop = trace::kNoSpan;    // this server's visit span
-    std::uint64_t qspan = trace::kNoSpan;  // open stage-queue wait, if parked
-    sim::Time enq{};  // ingress-queue entry time (overload sojourn accounting)
-  };
-  using CtxPtr = sim::PoolRef<Ctx>;
-
-  static sim::SlabPool<Ctx>& ctx_pool();
+  // Starts waiting visits while their stage has a free thread,
+  // continuation stage first.
   void pump();
-  // Runs steps while holding a slot of the given stage; the downstream
-  // step releases the slot and re-enters via the continuation queue.
-  void run_step(const CtxPtr& ctx, bool continuation_stage);
-  void finish(const CtxPtr& ctx, bool continuation_stage);
+  void release(const Visit& v) { --(v.cont ? cont_active_ : ingress_active_); }
 
   StagedConfig cfg_;
   const std::string site_ingress_;  // "<name>:ingress" (built once)
   const std::string site_cont_;     // "<name>:cont" (built once)
-  std::deque<CtxPtr> ingress_q_;
-  std::deque<CtxPtr> cont_q_;
+  std::deque<VisitPtr> ingress_q_;
+  std::deque<VisitPtr> cont_q_;
   std::size_t ingress_active_ = 0;
   std::size_t cont_active_ = 0;
 };

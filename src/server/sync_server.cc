@@ -6,11 +6,6 @@
 
 namespace ntier::server {
 
-sim::SlabPool<SyncServer::Ctx>& SyncServer::ctx_pool() {
-  thread_local sim::SlabPool<Ctx> pool;
-  return pool;
-}
-
 SyncServer::SyncServer(sim::Simulation& sim, std::string name, cpu::VmCpu* vm,
                        const AppProfile* profile,
                        std::function<Program(const RequestClassProfile&)> program_fn,
@@ -28,26 +23,15 @@ SyncServer::SyncServer(sim::Simulation& sim, std::string name, cpu::VmCpu* vm,
 }
 
 bool SyncServer::do_offer(Job job) {
-  note_offer();
   if (busy_ < threads_) {
-    note_accept();
-    const std::uint64_t hop = trace_open(job.req, trace::SpanKind::kHop, name_,
-                                         job.parent_span, sim_.now());
-    start(std::move(job), hop);
+    start(admit(std::move(job)));
     return true;
   }
-  const auto admit = accept_q_.try_admit(sim_.now());
-  if (admit != net::TcpQueue::Admit::kDrop) {
-    note_accept();
-    Queued q;
-    q.hop = trace_open(job.req, trace::SpanKind::kHop, name_, job.parent_span,
-                       sim_.now());
-    q.qspan = trace_open(job.req, trace::SpanKind::kAcceptQueue, name_, q.hop,
-                         sim_.now());
-    q.enq = sim_.now();
-    q.cookie = (admit == net::TcpQueue::Admit::kCookie);
-    q.job = std::move(job);
-    backlog_q_.push_back(std::move(q));
+  const auto admit_as = accept_q_.try_admit(backlog_q_.size());
+  if (admit_as != net::TcpQueue::Admit::kDrop) {
+    VisitPtr v = admit(std::move(job));
+    v->cookie = (admit_as == net::TcpQueue::Admit::kCookie);
+    park(backlog_q_, std::move(v), trace::SpanKind::kAcceptQueue, name_);
     check_spawn();
     return true;
   }
@@ -63,165 +47,74 @@ bool SyncServer::do_offer(Job job) {
     check_spawn();
     return true;
   }
-  note_drop();
-  trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
-                sim_.now(), /*detail=*/0);
+  refuse(job);
   check_spawn();
   return false;
 }
 
-void SyncServer::start(Job job, std::uint64_t hop, bool cookie) {
+void SyncServer::start(const VisitPtr& v) {
   ++busy_;
   if (busy_ == threads_ && exhausted_since_ == sim::Time::max())
     exhausted_since_ = sim_.now();
-  CtxPtr ctx = ctx_pool().make();
-  ctx->prog = &program_for(*job.req);
-  ctx->job = std::move(job);
-  ctx->hop = hop;
-  if (cookie && cfg_.cookie_penalty > sim::Duration::zero()) {
+  if (v->cookie && cfg_.cookie_penalty > sim::Duration::zero()) {
     // SYN-cookie slow path: the worker reconstructs the connection state
     // (cookie decode, option recovery) before the request program runs —
     // the "accepted but slow" cost that replaced the drop.
-    const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kService,
-                                        site_cookie_, ctx->hop, sim_.now());
-    vm_->submit(cfg_.cookie_penalty, [this, ctx, sp] {
-      trace_close(ctx->job.req, sp, sim_.now());
-      run_step(ctx);
+    const std::uint64_t sp = trace_open(v->job.req, trace::SpanKind::kService,
+                                        site_cookie_, v->hop, sim_.now());
+    vm_->submit(cfg_.cookie_penalty, [this, v, sp] {
+      trace_close(v->job.req, sp, sim_.now());
+      run_program(v);
     });
     return;
   }
-  run_step(ctx);
+  run_program(v);
 }
 
-void SyncServer::start_queued(Queued q) {
-  trace_close(q.job.req, q.qspan, sim_.now());
-  start(std::move(q.job), q.hop, q.cookie);
-}
-
-void SyncServer::run_step(const CtxPtr& ctx) {
-  if (ctx->pc >= ctx->prog->size()) {
-    finish(ctx);
+void SyncServer::on_downstream(const VisitPtr& v) {
+  if (!pool_) {
+    call_downstream(v);
     return;
   }
-  const WorkStep& step = (*ctx->prog)[ctx->pc];
-  switch (step.kind) {
-    case WorkStep::Kind::kCpu: {
-      if (step.amount <= sim::Duration::zero()) {
-        ++ctx->pc;
-        run_step(ctx);
-        return;
-      }
-      const auto demand = cfg_.overhead.inflate(step.amount, busy_);
-      // The service span includes CPU-contention stall (demand vs wall
-      // time inside VmCpu) — it measures occupancy, not pure work.
-      const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kService,
-                                          name_, ctx->hop, sim_.now());
-      vm_->submit(demand, [this, ctx, sp] {
-        trace_close(ctx->job.req, sp, sim_.now());
-        ++ctx->pc;
-        run_step(ctx);
-      });
-      return;
-    }
-    case WorkStep::Kind::kDisk: {
-      assert(io_ != nullptr && "kDisk step requires attach_io()");
-      const std::uint64_t sp = trace_open(ctx->job.req, trace::SpanKind::kDisk,
-                                          name_, ctx->hop, sim_.now());
-      io_->submit_service(step.amount, [this, ctx, sp] {
-        trace_close(ctx->job.req, sp, sim_.now());
-        ++ctx->pc;
-        run_step(ctx);
-      });
-      return;
-    }
-    case WorkStep::Kind::kDownstream: {
-      if (ctx->job.req->degraded) {
-        // Brownout: the degraded response skips the downstream chain.
-        ++ctx->pc;
-        run_step(ctx);
-        return;
-      }
-      if (pool_) {
-        // The worker thread blocks until a DB connection frees — this
-        // wait is still *inside* the server (counted in queued_requests).
-        ctx->sp = trace_open(ctx->job.req, trace::SpanKind::kPoolQueue,
-                             site_dbpool_, ctx->hop, sim_.now());
-        pool_->acquire([this, ctx] {
-          trace_close(ctx->job.req, ctx->sp, sim_.now());
-          ctx->sp = trace::kNoSpan;
-          begin_downstream(ctx);
-        });
-      } else {
-        begin_downstream(ctx);
-      }
-      return;
-    }
-  }
-}
-
-void SyncServer::begin_downstream(const CtxPtr& ctx) {
-  dispatch_downstream(ctx->job.req, ctx->hop, [this, ctx] {
-    if (pool_) pool_->release();
-    ++ctx->pc;
-    run_step(ctx);
+  // The worker thread blocks until a DB connection frees — this wait is
+  // still *inside* the server (counted in queued_requests).
+  v->wait = trace_open(v->job.req, trace::SpanKind::kPoolQueue, site_dbpool_, v->hop,
+                       sim_.now());
+  pool_->acquire([this, v] {
+    trace_close(v->job.req, v->wait, sim_.now());
+    call_downstream(v);
   });
 }
 
-void SyncServer::finish(const CtxPtr& ctx) {
-  note_reply();
-  trace_close(ctx->job.req, ctx->hop, sim_.now());
-  ctx->job.reply(ctx->job.req);
-  worker_freed();
+void SyncServer::call_downstream(const VisitPtr& v) {
+  dispatch_downstream(v->job.req, v->hop, [this, v] {
+    if (pool_) pool_->release();
+    ++v->pc;
+    run_program(v);
+  });
 }
 
-std::optional<SyncServer::Queued> SyncServer::take_from_backlog() {
-  if (cfg_.edf && backlog_q_.size() > 1) {
-    // EDF: rotate the earliest-deadline entry to the front so the FIFO
-    // pop below (and the overload layer's sojourn accounting) serves
-    // it. Time::max() (no deadline) naturally ranks last; strict <
-    // keeps the FIFO order among equal deadlines.
-    auto best = backlog_q_.begin();
-    for (auto it = std::next(backlog_q_.begin()); it != backlog_q_.end(); ++it)
-      if (it->job.req->deadline < best->job.req->deadline) best = it;
-    if (best != backlog_q_.begin())
-      std::rotate(backlog_q_.begin(), best, std::next(best));
-  }
-  return policy::overload::pop_next(
-      overload(), backlog_q_, sim_.now(),
-      [](const Queued& q) { return q.enq; },
-      [this](Queued q) {
-        accept_q_.pop();
-        trace_close(q.job.req, q.qspan, sim_.now());
-        trace_close(q.job.req, q.hop, sim_.now());
-        shed_job(std::move(q.job), /*accepted=*/true, /*detail=*/2);
-      });
-}
-
-void SyncServer::worker_freed() {
+void SyncServer::on_finish(const VisitPtr&) {
   --busy_;
-  if (!backlog_q_.empty()) {
-    if (auto next = take_from_backlog()) {
-      accept_q_.pop();
-      start_queued(std::move(*next));
-    }
-  }
+  if (VisitPtr next = take_backlog()) start(next);
   // The pool stays "exhausted" if the backlog immediately refilled the
   // freed worker; the timer only resets when capacity truly opened up.
   if (busy_ < threads_) exhausted_since_ = sim::Time::max();
 }
 
-void SyncServer::abort_queued() {
-  while (!backlog_q_.empty()) {
-    Queued q = std::move(backlog_q_.front());
-    backlog_q_.pop_front();
-    accept_q_.pop();
-    trace_close(q.job.req, q.qspan, sim_.now());
-    trace_close(q.job.req, q.hop, sim_.now());
-    abort_job(std::move(q.job));
+Server::VisitPtr SyncServer::take_backlog() {
+  if (cfg_.edf && backlog_q_.size() > 1) {
+    // EDF: rotate the earliest-deadline entry to the front so the FIFO
+    // pop (and the overload layer's sojourn accounting) serves it.
+    // Time::max() (no deadline) naturally ranks last; strict < keeps
+    // the FIFO order among equal deadlines.
+    auto best = backlog_q_.begin();
+    for (auto it = std::next(backlog_q_.begin()); it != backlog_q_.end(); ++it)
+      if ((*it)->job.req->deadline < (*best)->job.req->deadline) best = it;
+    if (best != backlog_q_.begin())
+      std::rotate(backlog_q_.begin(), best, std::next(best));
   }
-  // Workers currently executing keep running (their state is lost to the
-  // client anyway once the reply path refuses, but the simulation lets
-  // them drain to keep CPU accounting simple).
+  return take_waiting(backlog_q_, /*fresh=*/true);
 }
 
 void SyncServer::check_spawn() {
@@ -233,11 +126,10 @@ void SyncServer::check_spawn() {
   ++processes_;
   threads_ += cfg_.threads_per_process;
   exhausted_since_ = sim_.now();  // exhaustion timer restarts for the larger pool
-  while (busy_ < threads_ && !backlog_q_.empty()) {
-    auto next = take_from_backlog();
+  while (busy_ < threads_) {
+    VisitPtr next = take_backlog();
     if (!next) break;
-    accept_q_.pop();
-    start_queued(std::move(*next));
+    start(next);
   }
 }
 

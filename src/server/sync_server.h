@@ -11,7 +11,6 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 
 #include "cpu/thread_overhead.h"
 #include "net/tcp_queue.h"
@@ -59,7 +58,7 @@ class SyncServer : public Server {
              SyncConfig cfg);
 
   std::size_t busy_workers() const override { return busy_; }
-  std::size_t backlog_depth() const override { return accept_q_.depth(); }
+  std::size_t backlog_depth() const override { return backlog_q_.size(); }
   std::size_t max_sys_q_depth() const override { return threads_ + accept_q_.capacity(); }
   std::size_t thread_count() const { return threads_; }
   std::size_t process_count() const { return processes_; }
@@ -74,41 +73,26 @@ class SyncServer : public Server {
   bool do_offer(Job job) override;
   // Crash: the TCP backlog is lost with the process — every queued-but-
   // unstarted job is answered with a connection-reset failure.
-  void abort_queued() override;
+  void abort_queued() override { abort_waiting(backlog_q_); }
+  // Thread-overhead inflation of CPU demand with the busy worker count.
+  sim::Duration cpu_demand(sim::Duration amount) const override {
+    return cfg_.overhead.inflate(amount, busy_);
+  }
+  // The worker blocks for a DB connection (when pooled), then for the
+  // downstream reply.
+  void on_downstream(const VisitPtr& v) override;
+  // The worker is freed and takes the next backlog entry.
+  void on_finish(const VisitPtr& v) override;
 
  private:
-  // Per-admission execution state: program counter plus the open trace
-  // spans. Slab-pooled; event closures capture a 16-byte CtxPtr.
-  struct Ctx {
-    Job job;
-    const Program* prog = nullptr;  // shared per-class program
-    std::size_t pc = 0;
-    std::uint64_t hop = trace::kNoSpan;  // this server's visit span
-    std::uint64_t sp = trace::kNoSpan;   // open step/pool-wait span
-  };
-  using CtxPtr = sim::PoolRef<Ctx>;
-  // A job parked in the TCP backlog, with its open trace spans: the hop
-  // span (whole visit) and the accept-queue wait nested under it.
-  struct Queued {
-    Job job;
-    std::uint64_t hop = trace::kNoSpan;
-    std::uint64_t qspan = trace::kNoSpan;
-    sim::Time enq{};  // backlog entry time (overload sojourn accounting)
-    bool cookie = false;  // admitted via the SYN-cookie slow path
-  };
-
-  static sim::SlabPool<Ctx>& ctx_pool();
-  void start(Job job, std::uint64_t hop, bool cookie = false);
-  void run_step(const CtxPtr& ctx);
-  void begin_downstream(const CtxPtr& ctx);
-  void finish(const CtxPtr& ctx);
-  void worker_freed();
+  // Occupies a worker with `v` and runs its program (after the SYN-
+  // cookie slow path, for a cookie admit).
+  void start(const VisitPtr& v);
+  void call_downstream(const VisitPtr& v);
+  // Pops the next backlog entry: EDF picks the earliest deadline, then
+  // the overload controller's discipline applies; null when none left.
+  VisitPtr take_backlog();
   void check_spawn();
-  void start_queued(Queued q);
-  // Pops the next backlog entry under the overload controller's queue
-  // discipline (FIFO / adaptive-LIFO / CoDel + stale sheds); nullopt
-  // when the discipline shed the whole backlog. Keeps accept_q_ in step.
-  std::optional<Queued> take_from_backlog();
 
   SyncConfig cfg_;
   const std::string site_dbpool_;  // "<name>:dbpool" (built once)
@@ -117,7 +101,7 @@ class SyncServer : public Server {
   std::size_t processes_ = 1;
   std::size_t busy_ = 0;
   net::TcpQueue accept_q_;
-  std::deque<Queued> backlog_q_;
+  std::deque<VisitPtr> backlog_q_;
   std::unique_ptr<ConnectionPool> pool_;
   sim::Time exhausted_since_ = sim::Time::max();
   std::uint64_t shed_ = 0;

@@ -74,35 +74,17 @@ TEST(Link, JitterWithinBounds) {
 
 TEST(TcpQueue, AdmitsUpToCapacity) {
   TcpQueue q(2);
-  EXPECT_TRUE(q.try_push(Time::origin()));
-  EXPECT_TRUE(q.try_push(Time::origin()));
-  EXPECT_TRUE(q.full());
-  EXPECT_FALSE(q.try_push(Time::origin()));
-  EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.drops(), 1u);
+  EXPECT_EQ(q.try_admit(0), TcpQueue::Admit::kSlot);
+  EXPECT_EQ(q.try_admit(1), TcpQueue::Admit::kSlot);
+  EXPECT_EQ(q.try_admit(2), TcpQueue::Admit::kDrop);
+  EXPECT_EQ(q.capacity(), 2u);
 }
 
 TEST(TcpQueue, PopMakesRoom) {
+  // A worker taking the waiting request frees the backlog slot.
   TcpQueue q(1);
-  EXPECT_TRUE(q.try_push(Time::origin()));
-  q.pop();
-  EXPECT_TRUE(q.try_push(Time::origin()));
-  EXPECT_EQ(q.drops(), 0u);
-}
-
-TEST(TcpQueue, DropTimesRecorded) {
-  TcpQueue q(0);
-  q.try_push(Time::from_seconds(1.5));
-  q.try_push(Time::from_seconds(2.5));
-  ASSERT_EQ(q.drop_times().size(), 2u);
-  EXPECT_EQ(q.drop_times()[0], Time::from_seconds(1.5));
-  EXPECT_EQ(q.drop_times()[1], Time::from_seconds(2.5));
-}
-
-TEST(TcpQueue, PopOnEmptyIsSafe) {
-  TcpQueue q(1);
-  q.pop();
-  EXPECT_EQ(q.depth(), 0u);
+  EXPECT_EQ(q.try_admit(1), TcpQueue::Admit::kDrop);
+  EXPECT_EQ(q.try_admit(0), TcpQueue::Admit::kSlot);
 }
 
 // --- Transport -----------------------------------------------------------
