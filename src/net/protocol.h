@@ -99,7 +99,8 @@ const char* to_string(CtqoVisibility v);
 
 // Classifies one operating point. `overflow_events` counts admission
 // overflows however the stack surfaced them — kernel drops plus
-// SYN-cookie slow-path admits (TcpQueue::drops() + cookie_admits()).
+// SYN-cookie slow-path admits (the server's Stats::dropped +
+// TcpQueue::cookie_admits()).
 // The default threshold sits below the 3 s RTO mode but above any
 // sub-second inflation the modern schedules produce.
 CtqoVisibility classify_ctqo(
