@@ -1,7 +1,10 @@
 // Shared scaffolding for server-layer tests.
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cpu/host_core.h"
@@ -60,6 +63,20 @@ inline server::Program cpu_down_cpu(sim::Duration pre, sim::Duration post) {
   return {server::WorkStep{server::WorkStep::Kind::kCpu, pre},
           server::WorkStep{server::WorkStep::Kind::kDownstream, sim::Duration::zero()},
           server::WorkStep{server::WorkStep::Kind::kCpu, post}};
+}
+
+// "<size>:<fnv1a64 hex>" of a rendered string: the byte pins of the
+// ReportPin and ServerModelPin tests.
+inline std::string pin(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%zu:%016llx", s.size(),
+                static_cast<unsigned long long>(h));
+  return buf;
 }
 
 }  // namespace ntier::test

@@ -3,8 +3,6 @@
 // correlation text. Each string is reduced to its (size, FNV-1a-64)
 // fingerprint, so any change to the report path, the telemetry it reads
 // or the run itself fails here with both numbers in the message.
-#include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -15,6 +13,7 @@
 #include "core/scenarios.h"
 #include "graph/graph_system.h"
 #include "graph/topology.h"
+#include "helpers.h"
 #include "report/dashboard.h"
 
 namespace ntier {
@@ -22,18 +21,7 @@ namespace {
 
 using sim::Duration;
 
-// "<size>:<fnv1a64 hex>" of a rendered report.
-std::string pin(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%zu:%016llx", s.size(),
-                static_cast<unsigned long long>(h));
-  return buf;
-}
+using test::pin;
 
 TEST(ReportPin, NTierLogFlush) {
   auto cfg = core::scenarios::fig5_logflush_sync();
