@@ -11,6 +11,8 @@ Structural checks — no browser needed:
   - the required sections are present: per-tier panels, VLRT windows,
     latency histogram, correlation engine verdict, registry counters
   - the correlation verdict names one of the three propagation classes
+  - every <h1>, <h3> and <tr> element closes on the line that opens it
+    (the render writes each one whole; a piece cut short leaves it open)
   - incident surface consistency: a dashboard that carries the obs
     incident table must also carry the fire-time markers and a
     machine-readable incident-data island that parses as JSON with the
@@ -36,6 +38,9 @@ REQUIRED = [
     "queue-depth propagation:",
     "Registry counters",
 ]
+
+# Elements the render writes whole, one line each.
+ONE_LINE_ELEMENTS = ("h1", "h3", "tr")
 
 EXTERNAL_REF = re.compile(r"""(?:href|src)\s*=\s*['"](?!#)[^'"]+['"]""", re.I)
 
@@ -90,6 +95,10 @@ def validate(path: str, errors: list, expect_incidents: bool = False) -> None:
             errors.append(f"{path}: missing required section {token!r}")
     if not re.search(r"\b(upstream|downstream|absent)\b", html):
         errors.append(f"{path}: no propagation verdict (upstream/downstream/absent)")
+    for lineno, line in enumerate(html.split("\n"), 1):
+        for tag in ONE_LINE_ELEMENTS:
+            if line.count(f"<{tag}>") != line.count(f"</{tag}>"):
+                errors.append(f"{path}:{lineno}: <{tag}> does not close on its line")
     for m in EXTERNAL_REF.finditer(html):
         errors.append(f"{path}: external reference breaks self-containment: {m.group(0)}")
     validate_incidents(path, html, errors, expect_incidents)

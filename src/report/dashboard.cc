@@ -10,6 +10,7 @@
 
 #include "core/testbed.h"
 #include "obs/incident_monitor.h"
+#include "report/fixed2.h"
 
 namespace ntier::report {
 
@@ -17,11 +18,19 @@ namespace {
 
 void appendf(std::string& out, const char* fmt, ...) {
   char buf[512];
-  va_list ap;
+  va_list ap, again;
   va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_copy(again, ap);
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
-  out += buf;
+  if (n < static_cast<int>(sizeof(buf))) {
+    out += buf;
+  } else {  // longer than the buffer: format again at full length
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n));
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, again);
+  }
+  va_end(again);
 }
 
 std::string esc(const std::string& s) {
@@ -179,8 +188,14 @@ struct TimeChart {
   void line(const std::vector<double>& v, double win_s, double ymax, const char* color) {
     if (v.empty()) return;
     std::string pts;
-    for (std::size_t i = 0; i < v.size(); ++i)
-      appendf(pts, "%.2f,%.2f ", x((static_cast<double>(i) + 0.5) * win_s), y(v[i], ymax));
+    char buf[2 * kFixed2Size];  // "x,y ": each separator overwrites a NUL
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      char* p = put_fixed2(buf, x((static_cast<double>(i) + 0.5) * win_s));
+      *p++ = ',';
+      p = put_fixed2(p, y(v[i], ymax));
+      *p++ = ' ';
+      pts.append(buf, p);
+    }
     body += "<polyline points='";
     body += pts;
     appendf(body, "' fill='none' stroke='%s' stroke-width='1'/>\n", color);
@@ -189,11 +204,13 @@ struct TimeChart {
   void impulses(const std::vector<double>& v, double win_s, double ymax, const char* color) {
     for (std::size_t i = 0; i < v.size(); ++i) {
       if (v[i] <= 0.0) continue;
-      const double px = x((static_cast<double>(i) + 0.5) * win_s);
+      char px[kFixed2Size], y0[kFixed2Size], y1[kFixed2Size];
+      put_fixed2(px, x((static_cast<double>(i) + 0.5) * win_s));
+      put_fixed2(y0, y(0.0, ymax));
+      put_fixed2(y1, y(v[i], ymax));
       appendf(body,
-              "<line x1='%.2f' y1='%.2f' x2='%.2f' y2='%.2f' stroke='%s' "
-              "stroke-width='1.4'/>\n",
-              px, y(0.0, ymax), px, y(v[i], ymax), color);
+              "<line x1='%s' y1='%s' x2='%s' y2='%s' stroke='%s' stroke-width='1.4'/>\n", px,
+              y0, px, y1, color);
     }
   }
 

@@ -34,11 +34,19 @@ std::string json_escape(const std::string& s) {
 
 void append(std::string& out, const char* fmt, ...) {
   char buf[512];
-  va_list ap;
+  va_list ap, again;
   va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_copy(again, ap);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
   va_end(ap);
-  out += buf;
+  if (n < static_cast<int>(sizeof buf)) {
+    out += buf;
+  } else {  // longer than the buffer: format again at full length
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n));
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, again);
+  }
+  va_end(again);
 }
 
 }  // namespace

@@ -200,7 +200,8 @@ TEST(Correlate, SparseSweepMatchesDensePearsonBitForBit) {
     fill_sparse(vlrt, len(0, 160), 0.05 + 0.1 * (trial % 3), rng);
     for (int t = 0; t < 3; ++t) {
       core::TierSignals ts;
-      ts.name = "t" + std::to_string(t);
+      ts.name = "t";
+      ts.name += std::to_string(t);
       for (const char* kind : {"disk.busy", ".demand"}) {
         const std::string name = ts.name + kind;
         auto& sat = reg.series(name);

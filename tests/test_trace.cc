@@ -3,6 +3,7 @@
 // determinism / non-perturbation guarantees (DESIGN.md invariant 10).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -10,6 +11,8 @@
 #include "core/ctqo_analyzer.h"
 #include "core/experiment.h"
 #include "core/scenarios.h"
+#include "graph/graph_system.h"
+#include "graph/topology.h"
 #include "trace/chrome_trace.h"
 #include "trace/critical_path.h"
 #include "trace/span.h"
@@ -215,6 +218,54 @@ TEST(TraceSystem, SameSeedRunsEmitByteIdenticalExports) {
             trace::chrome_trace_json(b->tracer()->traces()));
   EXPECT_EQ(trace::spans_csv(a->tracer()->traces()),
             trace::spans_csv(b->tracer()->traces()));
+}
+
+// Topology names have no length limit: two 250-character nodes make a
+// downstream site of 502 characters, and its records pass the exporters'
+// 512-byte format buffer.
+TEST(TraceSystem, ExportsKeepRecordsLongerThanTheFormatBuffer) {
+  const std::string a(250, 'a'), b(250, 'b');
+  graph::GraphConfig cfg = graph::parse_topology("graph long_names\n"
+                                                 "sessions 4\n"
+                                                 "think 100ms\n"
+                                                 "duration 1s\n"
+                                                 "node " + a + " kind=sync threads=4 "
+                                                 "work=cpu:100us,down,cpu:100us\n"
+                                                 "node " + b + " kind=sync threads=4 "
+                                                 "work=cpu:100us\n"
+                                                 "edge " + a + " " + b + "\n");
+  cfg.trace.mode = trace::TraceMode::kAll;
+  const auto sys = graph::run_graph(cfg);
+  ASSERT_GT(sys->tracer()->retained(), 0u);
+
+  const std::string json = trace::chrome_trace_json(sys->tracer()->traces());
+  const std::string site = a + "->" + b;
+  EXPECT_NE(json.find("{\"name\":\"downstream " + site + "\",\"cat\":\"downstream\""),
+            std::string::npos);
+  // Every record sits on its own line and ends with "}}", before the comma
+  // that opens the next one.
+  std::size_t records = 0;
+  for (std::size_t at = json.find("\n{"); at != std::string::npos;
+       at = json.find("\n{", at + 1)) {
+    std::size_t end = json.find('\n', at + 1);
+    ASSERT_NE(end, std::string::npos);
+    if (json[end - 1] == ',') --end;
+    EXPECT_EQ(json.compare(end - 2, 2, "}}"), 0) << "..." << json.substr(end - 40, 40);
+    ++records;
+  }
+  EXPECT_GT(records, 0u);
+
+  const std::string csv = trace::spans_csv(sys->tracer()->traces());
+  EXPECT_NE(csv.find(",downstream," + site + ","), std::string::npos);
+  std::size_t rows = 0;
+  for (std::size_t at = csv.find('\n') + 1; at < csv.size(); ++rows) {
+    const std::size_t eol = csv.find('\n', at);
+    ASSERT_NE(eol, std::string::npos);
+    const std::string row = csv.substr(at, eol - at);
+    EXPECT_EQ(std::count(row.begin(), row.end(), ','), 9) << row;
+    at = eol + 1;
+  }
+  EXPECT_GT(rows, 0u);
 }
 
 TEST(TraceSystem, TracingDoesNotPerturbTheSimulation) {
