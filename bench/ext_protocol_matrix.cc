@@ -27,6 +27,7 @@
 
 #include "bench_util.h"
 #include "net/protocol.h"
+#include "sim/format.h"
 #include "sweep/engine.h"
 
 namespace {
@@ -86,10 +87,8 @@ int main(int argc, char** argv) {
     cfg.duration = sim::Duration::seconds(16);
     const auto profile = net::ProtocolProfile::by_name(proto);
     core::apply_protocol(cfg, *profile);
-    char name[96];
-    std::snprintf(name, sizeof name, "proto-matrix-%s-wl%zu-nx%d",
-                  proto.c_str(), wl, nx);
-    cfg.name = name;
+    cfg.name.clear();
+    sim::appendf(cfg.name, "proto-matrix-%s-wl%zu-nx%d", proto.c_str(), wl, nx);
     return cfg;
   };
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "sim/format.h"
 #include "sweep/engine.h"
 
 int main(int argc, char** argv) {
@@ -50,10 +51,8 @@ int main(int argc, char** argv) {
     cfg.system.backlog = backlog;
     cfg.system.arch = static_cast<core::Architecture>(nx);
     cfg.duration = sim::Duration::seconds(16);
-    char name[96];
-    std::snprintf(name, sizeof name, "ctqo-surface-wl%zu-q%zu-nx%d", wl,
-                  backlog, nx);
-    cfg.name = name;
+    cfg.name.clear();
+    sim::appendf(cfg.name, "ctqo-surface-wl%zu-q%zu-nx%d", wl, backlog, nx);
     return cfg;
   };
 

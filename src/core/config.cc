@@ -72,9 +72,6 @@ void validate(const ExperimentConfig& cfg) {
   if (s.web_processes == 0) reject(cfg.name, "web_processes must be at least 1");
   if (s.backlog == 0)
     reject(cfg.name, "TCP backlog must be positive (MaxSysQDepth = threads + backlog)");
-  if (s.lite_q_web == 0 || s.lite_q_app == 0 || s.lite_q_db == 0)
-    reject(cfg.name, "LiteQDepth bounds must be positive");
-  if (s.db_async_threads == 0) reject(cfg.name, "db_async_threads must be positive");
   if (s.app_vcpus <= 0) reject(cfg.name, "app_vcpus must be positive");
   if (s.link_latency < sim::Duration::zero())
     reject(cfg.name, "link_latency cannot be negative");

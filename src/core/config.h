@@ -75,11 +75,6 @@ struct SystemConfig {
   std::size_t db_threads = 100;
   std::size_t backlog = 128;
   std::size_t db_pool = 50;  // Tomcat JDBC pool
-  // Async bounds.
-  std::size_t lite_q_web = 65535;
-  std::size_t lite_q_app = 65535;
-  std::size_t lite_q_db = 2000;  // InnoDB wait queue
-  std::size_t db_async_threads = 8;
   // Hardware.
   int app_vcpus = 1;  // 4 in the log-flush experiments
   // Inter-tier networking. Fixed 3 s retransmission spacing reproduces

@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "core/testbed.h"
+#include "sim/format.h"
 
 namespace ntier::core {
 
 namespace {
-
-std::string fmt(const char* f, double a, double b) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), f, a, b);
-  return buf;
-}
 
 // A series as its nonzero windows: ascending indices with their values,
 // and the recorded length. Built once per series per report, so each lag
@@ -134,14 +128,16 @@ double series_total(const Sparse& s) {
 }  // namespace
 
 std::string LagCorrelation::to_string() const {
-  return source + " -> " + target + fmt(": lag %.2f s r %.3f", lag_seconds, r);
+  std::string out = source + " -> " + target;
+  sim::appendf(out, ": lag %.2f s r %.3f", lag_seconds, r);
+  return out;
 }
 
 std::string CausalChain::to_string() const {
-  return saturation_series + " -> " + drop_series +
-         fmt(" (lag %.2f s, r %.3f)", fill.lag_seconds, fill.r) + " -> vlrt" +
-         fmt(" (lag %.2f s, r %.3f)", rto.lag_seconds, rto.r) +
-         fmt(" score %.3f", score, 0.0);
+  std::string out = saturation_series + " -> " + drop_series;
+  sim::appendf(out, " (lag %.2f s, r %.3f) -> vlrt (lag %.2f s, r %.3f) score %.3f",
+               fill.lag_seconds, fill.r, rto.lag_seconds, rto.r, score);
+  return out;
 }
 
 const char* to_string(Propagation p) {
@@ -164,7 +160,11 @@ std::string CorrelationReport::to_string() const {
   if (!queue_onsets.empty()) {
     out += "  queue onset:";
     for (const auto& [name, at] : queue_onsets) {
-      out += " " + name + (at < 0 ? "=never" : fmt("=%.2f s", at, 0.0));
+      out += " " + name;
+      if (at < 0)
+        out += "=never";
+      else
+        sim::appendf(out, "=%.2f s", at);
     }
     out += "\n";
   }

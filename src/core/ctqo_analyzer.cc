@@ -1,9 +1,10 @@
 #include "core/ctqo_analyzer.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cinttypes>
 
 #include "core/testbed.h"
+#include "sim/format.h"
 
 namespace ntier::core {
 
@@ -17,50 +18,32 @@ struct DropEvent {
 }  // namespace
 
 std::string CtqoEpisode::to_string() const {
-  char buf[320];
   const char* k = kind == Kind::kUpstream     ? "upstream CTQO"
                   : kind == Kind::kDownstream ? "downstream CTQO"
                                               : "unclassified";
-  if (bottleneck_found) {
-    std::snprintf(buf, sizeof buf,
-                  "[%7.2fs - %7.2fs] %llu drops at %s; millibottleneck at %s "
-                  "(%.2fs) -> %s",
-                  start.to_seconds(), end.to_seconds(),
-                  static_cast<unsigned long long>(drops), drop_tier_name.c_str(),
-                  bottleneck_name.c_str(), bottleneck_at.to_seconds(), k);
-  } else {
-    std::snprintf(buf, sizeof buf, "[%7.2fs - %7.2fs] %llu drops at %s; %s",
-                  start.to_seconds(), end.to_seconds(),
-                  static_cast<unsigned long long>(drops), drop_tier_name.c_str(), k);
-  }
-  std::string out = buf;
-  if (retry_storm) {
-    std::snprintf(buf, sizeof buf,
-                  " [RETRY STORM: offered %.2fx drain, %.1fs, peak %.2fx]",
-                  storm_amplification, storm_duration.to_seconds(),
-                  storm_peak_amplification);
-    out += buf;
-  }
+  std::string out;
+  sim::appendf(out, "[%7.2fs - %7.2fs] %" PRIu64 " drops at %s; ", start.to_seconds(),
+               end.to_seconds(), drops, drop_tier_name.c_str());
+  if (bottleneck_found)
+    sim::appendf(out, "millibottleneck at %s (%.2fs) -> ", bottleneck_name.c_str(),
+                 bottleneck_at.to_seconds());
+  out += k;
+  if (retry_storm)
+    sim::appendf(out, " [RETRY STORM: offered %.2fx drain, %.1fs, peak %.2fx]",
+                 storm_amplification, storm_duration.to_seconds(), storm_peak_amplification);
   return out;
 }
 
 std::string CtqoReport::to_string() const {
   std::string out;
-  char head[160];
-  std::snprintf(head, sizeof head,
-                "CTQO report: %llu dropped packets, %zu episodes (%llu upstream, "
-                "%llu downstream, %llu in retry storms)\n",
-                static_cast<unsigned long long>(total_drops), episodes.size(),
-                static_cast<unsigned long long>(upstream_episodes),
-                static_cast<unsigned long long>(downstream_episodes),
-                static_cast<unsigned long long>(retry_storm_episodes));
-  out += head;
-  if (retry_storm_episodes > 0) {
-    std::snprintf(head, sizeof head,
-                  "  longest storm %.1fs, peak retry amplification %.2fx\n",
-                  longest_storm.to_seconds(), peak_retry_amplification);
-    out += head;
-  }
+  sim::appendf(out,
+               "CTQO report: %" PRIu64 " dropped packets, %zu episodes (%" PRIu64
+               " upstream, %" PRIu64 " downstream, %" PRIu64 " in retry storms)\n",
+               total_drops, episodes.size(), upstream_episodes, downstream_episodes,
+               retry_storm_episodes);
+  if (retry_storm_episodes > 0)
+    sim::appendf(out, "  longest storm %.1fs, peak retry amplification %.2fx\n",
+                 longest_storm.to_seconds(), peak_retry_amplification);
   for (const auto& e : episodes) out += "  " + e.to_string() + "\n";
   return out;
 }
@@ -197,24 +180,19 @@ CtqoReport analyze_ctqo(const Testbed& sys, AnalyzerOptions opt) {
 }
 
 std::string VlrtAttributionRow::to_string() const {
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "req %8llu  %9.1f ms  dominant %s at %s %.1f ms (%4.1f%%)  "
-                "rto %.1f ms (%4.1f%%)",
-                static_cast<unsigned long long>(request_id),
-                latency.to_millis(), trace::to_string(dominant.kind),
-                dominant.site.c_str(), dominant.time.to_millis(),
-                dominant.share * 100.0, rto_time.to_millis(),
-                rto_share * 100.0);
-  std::string out = buf;
+  std::string out;
+  sim::appendf(out,
+               "req %8" PRIu64 "  %9.1f ms  dominant %s at %s %.1f ms (%4.1f%%)  "
+               "rto %.1f ms (%4.1f%%)",
+               request_id, latency.to_millis(), trace::to_string(dominant.kind),
+               dominant.site.c_str(), dominant.time.to_millis(), dominant.share * 100.0,
+               rto_time.to_millis(), rto_share * 100.0);
   if (!drop_tier.empty()) {
     out += "  drop tier " + drop_tier;
-    if (episode >= 0) {
-      std::snprintf(buf, sizeof buf, " (episode %d)", episode);
-      out += buf;
-    } else {
+    if (episode >= 0)
+      sim::appendf(out, " (episode %d)", episode);
+    else
       out += " (no episode matched)";
-    }
   }
   return out;
 }

@@ -1,6 +1,8 @@
 #include "core/experiment.h"
 
-#include <cstdio>
+#include <cinttypes>
+
+#include "sim/format.h"
 
 namespace ntier::core {
 
@@ -62,37 +64,25 @@ ExperimentSummary summarize(NTierSystem& sys) {
 
 std::string ExperimentSummary::to_string() const {
   std::string out;
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "%s: %.1f req/s over %.0fs, highest avg CPU %.0f%%, drops=%llu, "
-                "failed=%llu\n  latency: %s\n",
-                name.c_str(), throughput_rps, duration_s, highest_mean_util_pct,
-                static_cast<unsigned long long>(total_drops),
-                static_cast<unsigned long long>(failed_requests),
-                latency.to_string().c_str());
-  out += buf;
-  for (const auto& t : tiers) {
-    std::snprintf(buf, sizeof buf,
-                  "  %-8s acc=%llu drop=%llu peakQ=%.0f maxSysQDepth=%zu cpu=%.0f%%\n",
-                  t.server.c_str(), static_cast<unsigned long long>(t.accepted),
-                  static_cast<unsigned long long>(t.dropped), t.peak_queue,
-                  t.max_sys_q_depth, t.mean_cpu_pct);
-    out += buf;
-  }
+  sim::appendf(out,
+               "%s: %.1f req/s over %.0fs, highest avg CPU %.0f%%, drops=%" PRIu64
+               ", failed=%" PRIu64 "\n  latency: %s\n",
+               name.c_str(), throughput_rps, duration_s, highest_mean_util_pct, total_drops,
+               failed_requests, latency.to_string().c_str());
+  for (const auto& t : tiers)
+    sim::appendf(out,
+                 "  %-8s acc=%" PRIu64 " drop=%" PRIu64
+                 " peakQ=%.0f maxSysQDepth=%zu cpu=%.0f%%\n",
+                 t.server.c_str(), t.accepted, t.dropped, t.peak_queue, t.max_sys_q_depth,
+                 t.mean_cpu_pct);
   if (client_retries || client_hedges || breaker_opens || deadline_cancels ||
-      expired_at_admission || retransmit_exhausted) {
-    std::snprintf(buf, sizeof buf,
-                  "  policy: retries=%llu hedges=%llu (wins=%llu) breakerOpens=%llu "
-                  "deadlineCancels=%llu expiredAtTier=%llu rtoExhausted=%llu\n",
-                  static_cast<unsigned long long>(client_retries),
-                  static_cast<unsigned long long>(client_hedges),
-                  static_cast<unsigned long long>(hedge_wins),
-                  static_cast<unsigned long long>(breaker_opens),
-                  static_cast<unsigned long long>(deadline_cancels),
-                  static_cast<unsigned long long>(expired_at_admission),
-                  static_cast<unsigned long long>(retransmit_exhausted));
-    out += buf;
-  }
+      expired_at_admission || retransmit_exhausted)
+    sim::appendf(out,
+                 "  policy: retries=%" PRIu64 " hedges=%" PRIu64 " (wins=%" PRIu64
+                 ") breakerOpens=%" PRIu64 " deadlineCancels=%" PRIu64
+                 " expiredAtTier=%" PRIu64 " rtoExhausted=%" PRIu64 "\n",
+                 client_retries, client_hedges, hedge_wins, breaker_opens, deadline_cancels,
+                 expired_at_admission, retransmit_exhausted);
   out += ctqo.to_string();
   return out;
 }

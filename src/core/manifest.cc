@@ -1,35 +1,15 @@
 #include "core/manifest.h"
 
-#include <cstdio>
+#include <cinttypes>
 #include <filesystem>
 
 #include "core/ctqo_analyzer.h"
 #include "metrics/csv.h"
+#include "sim/format.h"
 
 namespace ntier::core {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-void append_num(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
 
 // The tail after the run identity: optional storm/incident blocks, the
 // run totals, and the registry's scalar snapshot. Keys are emitted in a
@@ -41,55 +21,43 @@ void append_tail(std::string& out, const Testbed& sys, const CtqoReport* ctqo,
   // Storm aggregates ride along only when the analyzer flagged storms,
   // so storm-free manifests stay byte-identical to pre-report ones.
   if (ctqo != nullptr && ctqo->retry_storm_episodes > 0) {
-    out += "  \"ctqo_storm\": {\n    \"episodes\": ";
-    append_u64(out, ctqo->retry_storm_episodes);
-    out += ",\n    \"longest_storm_s\": ";
-    append_num(out, ctqo->longest_storm.to_seconds());
-    out += ",\n    \"peak_retry_amplification\": ";
-    append_num(out, ctqo->peak_retry_amplification);
-    out += "\n  },\n";
+    sim::appendf(out,
+                 "  \"ctqo_storm\": {\n    \"episodes\": %" PRIu64
+                 ",\n    \"longest_storm_s\": %.10g"
+                 ",\n    \"peak_retry_amplification\": %.10g\n  },\n",
+                 ctqo->retry_storm_episodes, ctqo->longest_storm.to_seconds(),
+                 ctqo->peak_retry_amplification);
   }
   // Same pattern for online incidents: the block appears only when at
   // least one detector fired, so incident-free manifests stay
   // byte-identical to pre-obs ones.
   if (incidents != nullptr && incidents->count > 0) {
-    out += "  \"incidents\": {\n    \"count\": ";
-    append_u64(out, incidents->count);
-    out += ",\n    \"open\": ";
-    append_u64(out, incidents->open);
-    out += ",\n    \"first_fire_s\": ";
-    append_num(out, incidents->first_fire_s);
-    out += ",\n    \"by_detector\": {";
+    sim::appendf(out,
+                 "  \"incidents\": {\n    \"count\": %" PRIu64 ",\n    \"open\": %" PRIu64
+                 ",\n    \"first_fire_s\": %.10g,\n    \"by_detector\": {",
+                 incidents->count, incidents->open, incidents->first_fire_s);
     bool first_det = true;
     for (const auto& [name, count] : incidents->by_detector) {
       out += first_det ? "\n      " : ",\n      ";
       first_det = false;
-      append_escaped(out, name);
-      out += ": ";
-      append_u64(out, count);
+      sim::append_json_string(out, name);
+      sim::appendf(out, ": %" PRIu64, count);
     }
     out += "\n    }\n  },\n";
   }
-  out += "  \"totals\": {\n    \"completed\": ";
-  append_u64(out, lat.completed());
-  out += ",\n    \"vlrt\": ";
-  append_u64(out, lat.vlrt_count());
-  out += ",\n    \"dropped_requests\": ";
-  append_u64(out, lat.dropped_request_count());
-  out += ",\n    \"failed\": ";
-  append_u64(out, lat.failed_count());
-  out += ",\n    \"dropped_packets\": ";
-  append_u64(out, sys.total_drops());
-  out += ",\n    \"events_executed\": ";
-  append_u64(out, sys.simulation().events_executed());
-  out += "\n  },\n  \"registry\": {";
+  sim::appendf(out,
+               "  \"totals\": {\n    \"completed\": %" PRIu64 ",\n    \"vlrt\": %" PRIu64
+               ",\n    \"dropped_requests\": %" PRIu64 ",\n    \"failed\": %" PRIu64
+               ",\n    \"dropped_packets\": %" PRIu64 ",\n    \"events_executed\": %" PRIu64
+               "\n  },\n  \"registry\": {",
+               lat.completed(), lat.vlrt_count(), lat.dropped_request_count(), lat.failed_count(),
+               sys.total_drops(), sys.simulation().events_executed());
   bool first = true;
   for (const auto& [name, value] : sys.registry().snapshot()) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_escaped(out, name);
-    out += ": ";
-    append_num(out, value);
+    sim::append_json_string(out, name);
+    sim::appendf(out, ": %.10g", value);
   }
   out += "\n  }\n}\n";
 }
@@ -100,25 +68,21 @@ std::string run_manifest_json(const Testbed& sys, const CtqoReport* ctqo,
                               const obs::IncidentSummary* incidents) {
   const RunInfo& run = sys.info();
   std::string out = "{\n  \"schema\": \"ntier.run-manifest/1\",\n  \"kind\": ";
-  append_escaped(out, run.kind);
+  sim::append_json_string(out, run.kind);
   out += ",\n  \"name\": ";
-  append_escaped(out, run.name);
+  sim::append_json_string(out, run.name);
   if (!run.arch.empty()) {
     out += ",\n  \"arch\": ";
-    append_escaped(out, run.arch);
+    sim::append_json_string(out, run.arch);
   }
-  out += ",\n  \"seed\": ";
-  append_u64(out, run.seed);
-  out += ",\n  \"duration_s\": ";
-  append_num(out, run.duration.to_seconds());
-  out += ",\n  \"sample_window_ms\": ";
-  append_num(out, run.sample_window.to_millis());
-  out += ",\n  \"sessions\": ";
-  append_u64(out, run.sessions);
-  out += ",\n  \"tiers\": [";
+  sim::appendf(out,
+               ",\n  \"seed\": %" PRIu64 ",\n  \"duration_s\": %.10g"
+               ",\n  \"sample_window_ms\": %.10g,\n  \"sessions\": %" PRIu64
+               ",\n  \"tiers\": [",
+               run.seed, run.duration.to_seconds(), run.sample_window.to_millis(), run.sessions);
   for (std::size_t i = 0; i < sys.flat_count(); ++i) {
     if (i > 0) out += ", ";
-    append_escaped(out, sys.server_flat(i)->name());
+    sim::append_json_string(out, sys.server_flat(i)->name());
   }
   out += "],\n";
   append_tail(out, sys, ctqo, incidents);

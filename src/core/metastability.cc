@@ -1,7 +1,8 @@
 #include "core/metastability.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "sim/format.h"
 
 namespace ntier::core {
 
@@ -14,36 +15,27 @@ const char* to_string(Regime r) {
 }
 
 std::string TierRecovery::to_string() const {
-  char buf[192];
-  if (recovered) {
-    std::snprintf(buf, sizeof buf,
-                  "  %-10s recovered at t=%.2fs  (pre peak %.1f, post peak %.1f, "
-                  "amplification %.2fx)",
-                  name.c_str(), recovered_at.to_seconds(), pre_queue_peak,
-                  post_queue_peak, amplification);
-  } else {
-    std::snprintf(buf, sizeof buf,
-                  "  %-10s NOT recovered        (pre peak %.1f, post peak %.1f, "
-                  "amplification %.2fx)",
-                  name.c_str(), pre_queue_peak, post_queue_peak, amplification);
-  }
-  return buf;
+  std::string out;
+  sim::appendf(out, "  %-10s ", name.c_str());
+  if (recovered)
+    sim::appendf(out, "recovered at t=%.2fs ", recovered_at.to_seconds());
+  else
+    out += "NOT recovered       ";
+  sim::appendf(out, " (pre peak %.1f, post peak %.1f, amplification %.2fx)", pre_queue_peak,
+               post_queue_peak, amplification);
+  return out;
 }
 
 std::string MetastabilityVerdict::to_string() const {
-  char head[160];
-  if (regime == Regime::kRecovered) {
-    std::snprintf(head, sizeof head,
-                  "verdict: RECOVERED  time-to-recovery %.2fs  amplification %.2fx "
-                  "(slowest tier: %s)",
-                  time_to_recovery.to_seconds(), storm_amplification,
-                  worst_tier.c_str());
-  } else {
-    std::snprintf(head, sizeof head,
-                  "verdict: METASTABLE  amplification %.2fx (worst tier: %s)",
-                  storm_amplification, worst_tier.c_str());
-  }
-  std::string out = head;
+  std::string out;
+  if (regime == Regime::kRecovered)
+    sim::appendf(out,
+                 "verdict: RECOVERED  time-to-recovery %.2fs  amplification %.2fx "
+                 "(slowest tier: %s)",
+                 time_to_recovery.to_seconds(), storm_amplification, worst_tier.c_str());
+  else
+    sim::appendf(out, "verdict: METASTABLE  amplification %.2fx (worst tier: %s)",
+                 storm_amplification, worst_tier.c_str());
   for (const auto& t : tiers) {
     out += '\n';
     out += t.to_string();

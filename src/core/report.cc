@@ -1,9 +1,10 @@
 #include "core/report.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cinttypes>
 
 #include "metrics/table.h"
+#include "sim/format.h"
 
 namespace ntier::core {
 
@@ -44,11 +45,7 @@ std::string histogram_panel(const monitor::LatencyCollector& collector) {
   out += collector.histogram().to_table();
   const auto modes = collector.histogram().modes(3);
   out += "modes:";
-  for (auto m : modes) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, " %.2fs", m.to_seconds());
-    out += buf;
-  }
+  for (auto m : modes) sim::appendf(out, " %.2fs", m.to_seconds());
   out += "\n";
   return out;
 }
@@ -62,17 +59,17 @@ std::string vlrt_panel(const monitor::LatencyCollector& collector) {
 }
 
 std::string config_banner(const ExperimentConfig& cfg) {
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "=== %s ===\narch=%s WL=%zu think=%.1fs duration=%.0fs seed=%llu\n"
-                "web=%zu threads x%zu proc, app=%zu threads (%d vcpu), db=%zu threads, "
-                "backlog=%zu, db_pool=%zu\n",
-                cfg.name.c_str(), to_string(cfg.system.arch), cfg.workload.sessions,
-                cfg.workload.mean_think.to_seconds(), cfg.duration.to_seconds(),
-                static_cast<unsigned long long>(cfg.seed), cfg.system.web_threads,
-                cfg.system.web_processes, cfg.system.app_threads, cfg.system.app_vcpus,
-                cfg.system.db_threads, cfg.system.backlog, cfg.system.db_pool);
-  return buf;
+  std::string out;
+  sim::appendf(out,
+               "=== %s ===\narch=%s WL=%zu think=%.1fs duration=%.0fs seed=%" PRIu64 "\n"
+               "web=%zu threads x%zu proc, app=%zu threads (%d vcpu), db=%zu threads, "
+               "backlog=%zu, db_pool=%zu\n",
+               cfg.name.c_str(), to_string(cfg.system.arch), cfg.workload.sessions,
+               cfg.workload.mean_think.to_seconds(), cfg.duration.to_seconds(), cfg.seed,
+               cfg.system.web_threads, cfg.system.web_processes, cfg.system.app_threads,
+               cfg.system.app_vcpus, cfg.system.db_threads, cfg.system.backlog,
+               cfg.system.db_pool);
+  return out;
 }
 
 }  // namespace ntier::core

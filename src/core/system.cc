@@ -68,9 +68,7 @@ void NTierSystem::build_servers() {
     web_cfg.cookie_penalty = s.cookie_penalty;
     servers_[0] = st::make_apache(sim_, vms_[0], prof, web_cfg);
   } else {
-    auto web_cfg = st::nginx_config();
-    web_cfg.lite_q_depth = s.lite_q_web;
-    servers_[0] = st::make_nginx(sim_, vms_[0], prof, web_cfg);
+    servers_[0] = st::make_nginx(sim_, vms_[0], prof);
   }
 
   // App tier.
@@ -83,9 +81,7 @@ void NTierSystem::build_servers() {
     app_cfg.cookie_penalty = s.cookie_penalty;
     servers_[1] = st::make_tomcat(sim_, vms_[1], prof, app_cfg);
   } else {
-    auto app_cfg = st::xtomcat_config();
-    app_cfg.lite_q_depth = s.lite_q_app;
-    servers_[1] = st::make_xtomcat(sim_, vms_[1], prof, app_cfg);
+    servers_[1] = st::make_xtomcat(sim_, vms_[1], prof);
   }
 
   // DB tier.
@@ -98,10 +94,7 @@ void NTierSystem::build_servers() {
     db_cfg.cookie_penalty = s.cookie_penalty;
     servers_[2] = st::make_mysql(sim_, vms_[2], prof, db_cfg);
   } else {
-    auto db_cfg = st::xmysql_config();
-    db_cfg.lite_q_depth = s.lite_q_db;
-    db_cfg.max_active = s.db_async_threads;
-    servers_[2] = st::make_xmysql(sim_, vms_[2], prof, db_cfg);
+    servers_[2] = st::make_xmysql(sim_, vms_[2], prof);
   }
   servers_[2]->attach_io(db_disk_.get());
 

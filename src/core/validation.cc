@@ -1,7 +1,8 @@
 #include "core/validation.h"
 
 #include <cmath>
-#include <cstdio>
+
+#include "sim/format.h"
 
 namespace ntier::core {
 
@@ -90,13 +91,9 @@ ValidationReport validate_run(NTierSystem& sys, double rel_tol) {
 
 std::string ValidationReport::to_string() const {
   std::string out = all_ok ? "validation: OK\n" : "validation: FAILED\n";
-  char buf[160];
-  for (const auto& c : checks) {
-    std::snprintf(buf, sizeof buf, "  [%s] %-36s expected=%.2f measured=%.2f err=%.3f\n",
-                  c.ok ? "ok" : "FAIL", c.name.c_str(), c.expected, c.measured,
-                  c.rel_error);
-    out += buf;
-  }
+  for (const auto& c : checks)
+    sim::appendf(out, "  [%s] %-36s expected=%.2f measured=%.2f err=%.3f\n",
+                 c.ok ? "ok" : "FAIL", c.name.c_str(), c.expected, c.measured, c.rel_error);
   return out;
 }
 

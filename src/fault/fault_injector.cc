@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
+
+#include "sim/format.h"
 
 namespace ntier::fault {
 
@@ -28,13 +29,13 @@ std::string overlap_reason(std::vector<Extent> ws, const char* what) {
     const Extent& prev = ws[i - 1];
     const Extent& next = ws[i];
     if (prev.target == next.target && next.at < prev.end) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf,
-                    "fault: overlapping %s windows on target %d "
-                    "([%.3fs, %.3fs) vs one starting at %.3fs)",
-                    what, prev.target, prev.at.to_seconds(),
-                    prev.end.to_seconds(), next.at.to_seconds());
-      return buf;
+      std::string why;
+      sim::appendf(why,
+                   "fault: overlapping %s windows on target %d "
+                   "([%.3fs, %.3fs) vs one starting at %.3fs)",
+                   what, prev.target, prev.at.to_seconds(), prev.end.to_seconds(),
+                   next.at.to_seconds());
+      return why;
     }
   }
   return {};

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cinttypes>
 #include <cstdio>
+
+#include "sim/format.h"
 
 namespace ntier::metrics {
 
@@ -17,14 +20,9 @@ std::string timelines_to_csv(const std::vector<const Timeline*>& series) {
     max_windows = std::max(max_windows, s->window_count());
   }
   out += "\n";
-  char buf[64];
   for (std::size_t i = 0; i < max_windows; ++i) {
-    std::snprintf(buf, sizeof buf, "%.3f", series.front()->window_start(i).to_seconds());
-    out += buf;
-    for (const auto* s : series) {
-      std::snprintf(buf, sizeof buf, ",%.4f", s->value_at(i));
-      out += buf;
-    }
+    sim::appendf(out, "%.3f", series.front()->window_start(i).to_seconds());
+    for (const auto* s : series) sim::appendf(out, ",%.4f", s->value_at(i));
     out += "\n";
   }
   return out;
@@ -34,13 +32,9 @@ std::string histogram_to_csv(const LinearHistogram& hist) {
   std::string out = "lower_ms,upper_ms,count\n";
   std::size_t last = hist.bin_count();
   while (last > 0 && hist.count_in_bin(last - 1) == 0) --last;
-  char buf[96];
-  for (std::size_t i = 0; i < last; ++i) {
-    std::snprintf(buf, sizeof buf, "%.1f,%.1f,%llu\n", hist.bin_lower(i).to_millis(),
-                  (hist.bin_lower(i) + hist.bin_width()).to_millis(),
-                  static_cast<unsigned long long>(hist.count_in_bin(i)));
-    out += buf;
-  }
+  for (std::size_t i = 0; i < last; ++i)
+    sim::appendf(out, "%.1f,%.1f,%" PRIu64 "\n", hist.bin_lower(i).to_millis(),
+                 (hist.bin_lower(i) + hist.bin_width()).to_millis(), hist.count_in_bin(i));
   return out;
 }
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
+#include <cinttypes>
 
 #include "metrics/rank_select.h"
+#include "sim/format.h"
 
 namespace ntier::metrics {
 
@@ -75,13 +76,10 @@ std::vector<sim::Duration> LinearHistogram::modes(std::uint64_t min_count) const
 
 std::string LinearHistogram::to_table() const {
   std::string out = "lower_ms upper_ms count\n";
-  char line[96];
   for (std::size_t i = 0; i < bins_.size(); ++i) {
     if (bins_[i] == 0) continue;
-    std::snprintf(line, sizeof line, "%.1f %.1f %llu\n", bin_lower(i).to_millis(),
-                  (bin_lower(i) + bin_width_).to_millis(),
-                  static_cast<unsigned long long>(bins_[i]));
-    out += line;
+    sim::appendf(out, "%.1f %.1f %" PRIu64 "\n", bin_lower(i).to_millis(),
+                 (bin_lower(i) + bin_width_).to_millis(), bins_[i]);
   }
   return out;
 }

@@ -1,21 +1,21 @@
 #include "metrics/quantile_timeline.h"
 
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 
 #include "metrics/rank_select.h"
+#include "sim/format.h"
 
 namespace ntier::metrics {
 
 QuantileTimeline::QuantileTimeline(std::vector<double> quantiles, sim::Duration window)
     : qs_(std::move(quantiles)), window_(window) {
   assert(!qs_.empty());
-  char name[32];
   for (double q : qs_) {
     assert(q > 0.0 && q <= 100.0);
-    std::snprintf(name, sizeof name, "p%g_ms", q);
-    lines_.emplace_back(name, window_);
+    std::string name;
+    sim::appendf(name, "p%g_ms", q);
+    lines_.emplace_back(std::move(name), window_);
   }
 }
 

@@ -1,8 +1,10 @@
 #include "metrics/summary.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+
+#include "sim/format.h"
 
 namespace ntier::metrics {
 
@@ -38,13 +40,13 @@ double DispersionIndex::scv() const {
 }
 
 std::string LatencyDigest::to_string() const {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "n=%llu mean=%.1fms p50=%.1fms p99=%.1fms p99.9=%.1fms max=%.1fms vlrt=%llu",
-                static_cast<unsigned long long>(count), mean.to_millis(), p50.to_millis(),
-                p99.to_millis(), p999.to_millis(), max.to_millis(),
-                static_cast<unsigned long long>(vlrt_count));
-  return buf;
+  std::string out;
+  sim::appendf(out,
+               "n=%" PRIu64 " mean=%.1fms p50=%.1fms p99=%.1fms p99.9=%.1fms max=%.1fms"
+               " vlrt=%" PRIu64,
+               count, mean.to_millis(), p50.to_millis(), p99.to_millis(), p999.to_millis(),
+               max.to_millis(), vlrt_count);
+  return out;
 }
 
 }  // namespace ntier::metrics

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
+#include <cinttypes>
+
+#include "sim/format.h"
 
 namespace ntier::metrics {
 
@@ -53,15 +55,15 @@ std::string Table::to_string() const {
 }
 
 std::string Table::num(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
+  std::string out;
+  sim::appendf(out, "%.*f", decimals, v);
+  return out;
 }
 
 std::string Table::num(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  return buf;
+  std::string out;
+  sim::appendf(out, "%" PRIu64, v);
+  return out;
 }
 
 }  // namespace ntier::metrics

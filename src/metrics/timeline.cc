@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
+
+#include "sim/format.h"
 
 namespace ntier::metrics {
 
@@ -79,11 +80,8 @@ std::string Timeline::to_table(std::size_t step) const {
   std::size_t last = values_.size();
   while (last > 0 && values_[last - 1] == 0.0) --last;
   std::string out = "t_s " + name_ + "\n";
-  char line[96];
-  for (std::size_t i = 0; i < last; i += step) {
-    std::snprintf(line, sizeof line, "%.2f %.3f\n", window_start(i).to_seconds(), values_[i]);
-    out += line;
-  }
+  for (std::size_t i = 0; i < last; i += step)
+    sim::appendf(out, "%.2f %.3f\n", window_start(i).to_seconds(), values_[i]);
   return out;
 }
 

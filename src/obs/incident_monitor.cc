@@ -1,39 +1,15 @@
 #include "obs/incident_monitor.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cinttypes>
 #include <filesystem>
 #include <map>
 
 #include "metrics/csv.h"
+#include "sim/format.h"
 #include "trace/chrome_trace.h"
 
 namespace ntier::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-void append_num(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-}  // namespace
 
 IncidentMonitor::IncidentMonitor(ObsConfig cfg) : cfg_(std::move(cfg)) {}
 
@@ -165,59 +141,38 @@ void IncidentMonitor::finalize(sim::Time end) {
 
 void IncidentMonitor::write_incident_json(sim::Time end) {
   std::string out = "{\n  \"schema\": \"ntier.incidents/1\",\n  \"name\": ";
-  append_escaped(out, b_.run_name);
-  out += ",\n  \"window_ms\": ";
-  append_num(out, window_.to_millis());
-  out += ",\n  \"detectors\": ";
-  append_u64(out, bound_.size());
-  out += ",\n  \"end_s\": ";
-  append_num(out, end.to_seconds());
+  sim::append_json_string(out, b_.run_name);
+  sim::appendf(out, ",\n  \"window_ms\": %.10g,\n  \"detectors\": %zu,\n  \"end_s\": %.10g",
+               window_.to_millis(), bound_.size(), end.to_seconds());
   if (recorder_) {
-    out += ",\n  \"flight\": {\n    \"ring_capacity\": ";
-    append_u64(out, cfg_.flight.ring_capacity);
-    out += ",\n    \"window_s\": ";
-    append_num(out, cfg_.flight.window.to_seconds());
-    out += ",\n    \"offered\": ";
-    append_u64(out, recorder_->offered());
-    out += ",\n    \"evicted\": ";
-    append_u64(out, recorder_->evicted());
-    out += "\n  }";
+    sim::appendf(out,
+                 ",\n  \"flight\": {\n    \"ring_capacity\": %zu,\n    \"window_s\": %.10g"
+                 ",\n    \"offered\": %" PRIu64 ",\n    \"evicted\": %" PRIu64 "\n  }",
+                 cfg_.flight.ring_capacity, cfg_.flight.window.to_seconds(),
+                 recorder_->offered(), recorder_->evicted());
   }
   if (have_window_) {
-    out += ",\n  \"dump\": {\n    \"from_s\": ";
-    append_num(out, dump_from_.to_seconds());
-    out += ",\n    \"to_s\": ";
-    append_num(out, dump_to_.to_seconds());
-    out += ",\n    \"traces\": ";
-    append_u64(out, dumped_traces_);
-    out += "\n  }";
+    sim::appendf(out,
+                 ",\n  \"dump\": {\n    \"from_s\": %.10g,\n    \"to_s\": %.10g"
+                 ",\n    \"traces\": %zu\n  }",
+                 dump_from_.to_seconds(), dump_to_.to_seconds(), dumped_traces_);
   }
   out += ",\n  \"incidents\": [";
   for (std::size_t i = 0; i < incidents_.size(); ++i) {
     const Incident& inc = incidents_[i];
     out += i == 0 ? "\n    {" : ",\n    {";
     out += "\"detector\": ";
-    append_escaped(out, inc.detector);
-    out += ", \"kind\": \"";
-    out += obs::to_string(inc.kind);
-    out += "\", \"series\": ";
-    append_escaped(out, inc.series);
-    out += ", \"severity\": \"";
-    out += obs::to_string(inc.severity);
-    out += "\", \"fired_s\": ";
-    append_num(out, inc.fired_at.to_seconds());
-    out += ", \"cleared_s\": ";
+    sim::append_json_string(out, inc.detector);
+    sim::appendf(out, ", \"kind\": \"%s\", \"series\": ", obs::to_string(inc.kind));
+    sim::append_json_string(out, inc.series);
+    sim::appendf(out, ", \"severity\": \"%s\", \"fired_s\": %.10g, \"cleared_s\": ",
+                 obs::to_string(inc.severity), inc.fired_at.to_seconds());
     if (inc.cleared)
-      append_num(out, inc.cleared_at.to_seconds());
+      sim::appendf(out, "%.10g", inc.cleared_at.to_seconds());
     else
       out += "null";
-    out += ", \"value_at_fire\": ";
-    append_num(out, inc.value_at_fire);
-    out += ", \"stat_at_fire\": ";
-    append_num(out, inc.stat_at_fire);
-    out += ", \"peak_value\": ";
-    append_num(out, inc.peak_value);
-    out += "}";
+    sim::appendf(out, ", \"value_at_fire\": %.10g, \"stat_at_fire\": %.10g, \"peak_value\": %.10g}",
+                 inc.value_at_fire, inc.stat_at_fire, inc.peak_value);
   }
   out += incidents_.empty() ? "],\n" : "\n  ],\n";
   // Retro-window slices of every bound series: the flight-recorder view
@@ -244,16 +199,11 @@ void IncidentMonitor::write_incident_json(sim::Time end) {
           static_cast<std::size_t>((dump_to_.count_micros() + win_us - 1) / win_us));
       out += first ? "\n    " : ",\n    ";
       first = false;
-      append_escaped(out, bd->det.spec().series);
-      out += ": {\"t0_s\": ";
-      append_num(out, bd->tl->window_start(i0).to_seconds());
-      out += ", \"window_ms\": ";
-      append_num(out, bd->tl->window().to_millis());
-      out += ", \"values\": [";
-      for (std::size_t i = i0; i < i1; ++i) {
-        if (i > i0) out += ", ";
-        append_num(out, bd->tl->value_at(i));
-      }
+      sim::append_json_string(out, bd->det.spec().series);
+      sim::appendf(out, ": {\"t0_s\": %.10g, \"window_ms\": %.10g, \"values\": [",
+                   bd->tl->window_start(i0).to_seconds(), bd->tl->window().to_millis());
+      for (std::size_t i = i0; i < i1; ++i)
+        sim::appendf(out, i > i0 ? ", %.10g" : "%.10g", bd->tl->value_at(i));
       out += "]}";
     }
   }
@@ -286,32 +236,20 @@ std::string IncidentMonitor::to_string() const {
   if (s.open > 0) out += " (" + std::to_string(s.open) + " still open)";
   out += " ---\n";
   for (const Incident& inc : incidents_) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf, "  [%s] %s (%s) fired %.2fs", obs::to_string(inc.severity),
-                  inc.detector.c_str(), obs::to_string(inc.kind), inc.fired_at.to_seconds());
-    out += buf;
-    if (inc.cleared) {
-      std::snprintf(buf, sizeof buf, " cleared %.2fs", inc.cleared_at.to_seconds());
-      out += buf;
-    } else {
+    sim::appendf(out, "  [%s] %s (%s) fired %.2fs", obs::to_string(inc.severity),
+                 inc.detector.c_str(), obs::to_string(inc.kind), inc.fired_at.to_seconds());
+    if (inc.cleared)
+      sim::appendf(out, " cleared %.2fs", inc.cleared_at.to_seconds());
+    else
       out += " OPEN";
-    }
-    std::snprintf(buf, sizeof buf, " peak %.3g\n", inc.peak_value);
-    out += buf;
+    sim::appendf(out, " peak %.3g\n", inc.peak_value);
   }
   if (recorder_) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "  flight: offered %llu evicted %llu",
-                  static_cast<unsigned long long>(recorder_->offered()),
-                  static_cast<unsigned long long>(recorder_->evicted()));
-    out += buf;
-    if (have_window_) {
-      std::snprintf(buf, sizeof buf, " dump %.2f..%.2fs traces %llu",
-                    dump_from_.to_seconds(), dump_to_.to_seconds(),
-                    static_cast<unsigned long long>(dumped_traces_));
-      out += buf;
-    }
+    sim::appendf(out, "  flight: offered %" PRIu64 " evicted %" PRIu64, recorder_->offered(),
+                 recorder_->evicted());
+    if (have_window_)
+      sim::appendf(out, " dump %.2f..%.2fs traces %zu", dump_from_.to_seconds(),
+                   dump_to_.to_seconds(), dumped_traces_);
     out += '\n';
   }
   for (const std::string& p : written_) out += "  wrote " + p + "\n";

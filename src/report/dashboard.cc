@@ -1,8 +1,6 @@
 #include "report/dashboard.h"
 
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -11,27 +9,13 @@
 #include "core/testbed.h"
 #include "obs/incident_monitor.h"
 #include "report/fixed2.h"
+#include "sim/format.h"
 
 namespace ntier::report {
 
 namespace {
 
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap, again;
-  va_start(ap, fmt);
-  va_copy(again, ap);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n < static_cast<int>(sizeof(buf))) {
-    out += buf;
-  } else {  // longer than the buffer: format again at full length
-    const std::size_t at = out.size();
-    out.resize(at + static_cast<std::size_t>(n));
-    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, again);
-  }
-  va_end(again);
-}
+using sim::appendf;
 
 std::string esc(const std::string& s) {
   std::string out;

@@ -1,26 +1,27 @@
 #include "sim/time.h"
 
-#include <cstdio>
+#include <cinttypes>
+
+#include "sim/format.h"
 
 namespace ntier::sim {
 
 std::string to_string(Duration d) {
-  char buf[64];
   const std::int64_t us = d.count_micros();
-  if (us % 1'000'000 == 0) {
-    std::snprintf(buf, sizeof buf, "%llds", static_cast<long long>(us / 1'000'000));
-  } else if (us % 1000 == 0) {
-    std::snprintf(buf, sizeof buf, "%lldms", static_cast<long long>(us / 1000));
-  } else {
-    std::snprintf(buf, sizeof buf, "%lldus", static_cast<long long>(us));
-  }
-  return buf;
+  std::string out;
+  if (us % 1'000'000 == 0)
+    appendf(out, "%" PRId64 "s", us / 1'000'000);
+  else if (us % 1000 == 0)
+    appendf(out, "%" PRId64 "ms", us / 1000);
+  else
+    appendf(out, "%" PRId64 "us", us);
+  return out;
 }
 
 std::string to_string(Time t) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3fs", t.to_seconds());
-  return buf;
+  std::string out;
+  appendf(out, "%.3fs", t.to_seconds());
+  return out;
 }
 
 }  // namespace ntier::sim

@@ -1,7 +1,7 @@
 #include "sweep/engine.h"
 
 #include <atomic>
-#include <cstdio>
+#include <cinttypes>
 #include <map>
 #include <stdexcept>
 #include <thread>
@@ -9,25 +9,11 @@
 #include "core/config.h"
 #include "core/system.h"
 #include "metrics/table.h"
+#include "sim/format.h"
 
 namespace ntier::sweep {
 
 namespace {
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 double vlrt_fraction_of(const core::ExperimentSummary& s) {
   return s.latency.count > 0
@@ -206,17 +192,18 @@ std::string SweepResult::csv() const {
       "drops_ci95,ctqo_episodes_mean,ctqo_upstream_mean,ctqo_downstream_mean,"
       "ctqo\n";
   for (const PointResult& p : points) {
-    for (double v : p.point.values) out += num(v) + ",";
-    out += p.name + "," + std::to_string(replications) + "," +
-           num(p.completed_mean) + "," + num(p.throughput_rps.mean) + "," +
-           num(p.throughput_rps.half_width) + "," + num(p.latency_mean_ms.mean) +
-           "," + num(p.latency_mean_ms.half_width) + "," + num(p.p99_ms.mean) +
-           "," + num(p.p99_ms.half_width) + "," + num(p.p999_ms.mean) + "," +
-           num(p.p999_ms.half_width) + "," + num(p.vlrt_fraction.mean) + "," +
-           num(p.vlrt_fraction.half_width) + "," + num(p.drops.mean) + "," +
-           num(p.drops.half_width) + "," + num(p.episodes.mean) + "," +
-           num(p.upstream_episodes.mean) + "," + num(p.downstream_episodes.mean) +
-           "," + (p.ctqo ? "1" : "0") + "\n";
+    for (double v : p.point.values) sim::appendf(out, "%.10g,", v);
+    out += p.name;
+    sim::appendf(out,
+                 ",%zu,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,"
+                 "%.10g,%.10g,%.10g,%.10g,%d\n",
+                 replications, p.completed_mean, p.throughput_rps.mean,
+                 p.throughput_rps.half_width, p.latency_mean_ms.mean,
+                 p.latency_mean_ms.half_width, p.p99_ms.mean, p.p99_ms.half_width,
+                 p.p999_ms.mean, p.p999_ms.half_width, p.vlrt_fraction.mean,
+                 p.vlrt_fraction.half_width, p.drops.mean, p.drops.half_width,
+                 p.episodes.mean, p.upstream_episodes.mean, p.downstream_episodes.mean,
+                 p.ctqo ? 1 : 0);
   }
   return out;
 }
@@ -226,44 +213,37 @@ std::string SweepResult::manifest_json() const {
   for (std::size_t i = 0; i < axes.size(); ++i) {
     out += i ? ", " : "";
     out += "{\"name\": ";
-    append_escaped(out, axes[i].name);
+    sim::append_json_string(out, axes[i].name);
     out += ", \"values\": [";
-    for (std::size_t j = 0; j < axes[i].values.size(); ++j) {
-      out += j ? ", " : "";
-      out += num(axes[i].values[j]);
-    }
+    for (std::size_t j = 0; j < axes[i].values.size(); ++j)
+      sim::appendf(out, j ? ", %.10g" : "%.10g", axes[i].values[j]);
     out += "]}";
   }
-  out += "],\n  \"replications\": " + std::to_string(replications);
-  out += ",\n  \"runs\": " + std::to_string(runs);
-  out += ",\n  \"total_events\": " + std::to_string(total_events);
-  out += ",\n  \"points\": [";
+  sim::appendf(out,
+               "],\n  \"replications\": %zu,\n  \"runs\": %" PRIu64
+               ",\n  \"total_events\": %" PRIu64 ",\n  \"points\": [",
+               replications, runs, total_events);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PointResult& p = points[i];
     out += i ? ",\n    " : "\n    ";
     out += "{\"name\": ";
-    append_escaped(out, p.name);
+    sim::append_json_string(out, p.name);
     out += ", \"values\": [";
-    for (std::size_t j = 0; j < p.point.values.size(); ++j) {
-      out += j ? ", " : "";
-      out += num(p.point.values[j]);
-    }
-    out += "], \"base_seed\": " + std::to_string(p.base_seed);
-    out += ", \"ctqo\": ";
-    out += p.ctqo ? "true" : "false";
-    out += ", \"throughput_rps\": [" + num(p.throughput_rps.mean) + ", " +
-           num(p.throughput_rps.half_width) + "]";
-    out += ", \"p99_ms\": [" + num(p.p99_ms.mean) + ", " + num(p.p99_ms.half_width) + "]";
-    out += ", \"p999_ms\": [" + num(p.p999_ms.mean) + ", " + num(p.p999_ms.half_width) + "]";
-    out += ", \"vlrt_fraction\": [" + num(p.vlrt_fraction.mean) + ", " +
-           num(p.vlrt_fraction.half_width) + "]";
-    out += ", \"drops_mean\": " + num(p.drops.mean);
-    out += ", \"episodes_mean\": " + num(p.episodes.mean);
-    out += ", \"registry_totals\": {";
+    for (std::size_t j = 0; j < p.point.values.size(); ++j)
+      sim::appendf(out, j ? ", %.10g" : "%.10g", p.point.values[j]);
+    sim::appendf(out,
+                 "], \"base_seed\": %" PRIu64 ", \"ctqo\": %s"
+                 ", \"throughput_rps\": [%.10g, %.10g], \"p99_ms\": [%.10g, %.10g]"
+                 ", \"p999_ms\": [%.10g, %.10g], \"vlrt_fraction\": [%.10g, %.10g]"
+                 ", \"drops_mean\": %.10g, \"episodes_mean\": %.10g, \"registry_totals\": {",
+                 p.base_seed, p.ctqo ? "true" : "false", p.throughput_rps.mean,
+                 p.throughput_rps.half_width, p.p99_ms.mean, p.p99_ms.half_width,
+                 p.p999_ms.mean, p.p999_ms.half_width, p.vlrt_fraction.mean,
+                 p.vlrt_fraction.half_width, p.drops.mean, p.episodes.mean);
     for (std::size_t j = 0; j < p.registry_totals.size(); ++j) {
       out += j ? ", " : "";
-      append_escaped(out, p.registry_totals[j].first);
-      out += ": " + num(p.registry_totals[j].second);
+      sim::append_json_string(out, p.registry_totals[j].first);
+      sim::appendf(out, ": %.10g", p.registry_totals[j].second);
     }
     out += "}}";
   }
@@ -271,10 +251,12 @@ std::string SweepResult::manifest_json() const {
   for (std::size_t i = 0; i < onsets.size(); ++i) {
     out += i ? ", " : "";
     out += "{\"slice\": ";
-    append_escaped(out, onsets[i].slice_label);
+    sim::append_json_string(out, onsets[i].slice_label);
     out += ", \"onset\": ";
-    out += onsets[i].found ? num(onsets[i].onset_value) : std::string("null");
-    out += "}";
+    if (onsets[i].found)
+      sim::appendf(out, "%.10g}", onsets[i].onset_value);
+    else
+      out += "null}";
   }
   out += "]\n}\n";
   return out;
@@ -306,8 +288,10 @@ std::string SweepResult::to_string() const {
   for (const CtqoOnset& o : onsets) {
     out += "CTQO onset";
     if (!o.slice_label.empty()) out += " [" + o.slice_label + "]";
-    out += o.found ? ": " + axes[0].name + " = " + num(o.onset_value)
-                   : ": none in the swept range";
+    if (o.found)
+      sim::appendf(out, ": %s = %.10g", axes[0].name.c_str(), o.onset_value);
+    else
+      out += ": none in the swept range";
     out += "\n";
   }
   return out;

@@ -1,19 +1,16 @@
 #include "sweep/grid.h"
 
-#include <cstdio>
 #include <stdexcept>
+
+#include "sim/format.h"
 
 namespace ntier::sweep {
 
 std::string GridPoint::label(const std::vector<Axis>& axes) const {
   std::string out;
-  char buf[64];
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ' ';
-    std::snprintf(buf, sizeof buf, "%s=%.10g",
-                  i < axes.size() ? axes[i].name.c_str() : "?", values[i]);
-    out += buf;
-  }
+  for (std::size_t i = 0; i < values.size(); ++i)
+    sim::appendf(out, i > 0 ? " %s=%.10g" : "%s=%.10g",
+                 i < axes.size() ? axes[i].name.c_str() : "?", values[i]);
   return out;
 }
 

@@ -1,16 +1,14 @@
-// Metric primitives for the unified telemetry registry.
+// The streaming quantile primitive of the unified telemetry registry
+// (totals and levels are probes; see registry.h).
 //
-// Three shapes cover every publish point in the system:
-//  * Counter — monotonic event count (drops, retransmits, events executed).
-//  * Gauge — instantaneous level (heap depth, pool occupancy, breaker state).
-//  * GkQuantile — a Greenwald–Khanna streaming quantile summary with a
-//    provable rank guarantee: after n observations, quantile(q) returns a
-//    value whose rank in the sorted sample lies within eps*n of q*n, using
-//    O((1/eps)*log(eps*n)) space instead of the raw sample. Unlike P²,
-//    the bound is distribution-free, which matters here: latency samples
-//    are multi-modal (peaks at 0/3/6/9 s), exactly the shape that defeats
-//    curve-fitting estimators. tests/test_telemetry.cc validates the
-//    bound against the exact metrics::LinearHistogram percentiles.
+// GkQuantile is a Greenwald–Khanna streaming quantile summary with a
+// provable rank guarantee: after n observations, quantile(q) returns a
+// value whose rank in the sorted sample lies within eps*n of q*n, using
+// O((1/eps)*log(eps*n)) space instead of the raw sample. Unlike P², the
+// bound is distribution-free, which matters here: latency samples are
+// multi-modal (peaks at 0/3/6/9 s), exactly the shape that defeats
+// curve-fitting estimators. tests/test_telemetry.cc validates the bound
+// against the exact metrics::LinearHistogram percentiles.
 //
 // Everything is plain memory arithmetic: recording draws no randomness
 // and schedules no simulation events, so an instrumented run is
@@ -21,24 +19,6 @@
 #include <vector>
 
 namespace ntier::telemetry {
-
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 // Greenwald–Khanna epsilon-approximate quantile summary (SIGMOD'01).
 // Mergeable: merge(a, b) holds eps_a + eps_b; repeated self-merges

@@ -6,27 +6,6 @@ namespace ntier::telemetry {
 
 Registry::Registry(sim::Duration window) : window_(window) {}
 
-CounterHandle Registry::intern_counter(std::string_view name) {
-  auto it = counter_ix_.find(name);
-  if (it == counter_ix_.end()) {
-    const auto idx = static_cast<std::uint32_t>(counter_store_.size());
-    counter_store_.emplace_back();
-    it = counter_ix_.emplace(std::string(name), idx).first;
-    counter_names_dirty_ = true;
-  }
-  return CounterHandle{it->second};
-}
-
-GaugeHandle Registry::intern_gauge(std::string_view name) {
-  auto it = gauge_ix_.find(name);
-  if (it == gauge_ix_.end()) {
-    const auto idx = static_cast<std::uint32_t>(gauge_store_.size());
-    gauge_store_.emplace_back();
-    it = gauge_ix_.emplace(std::string(name), idx).first;
-  }
-  return GaugeHandle{it->second};
-}
-
 SeriesHandle Registry::intern_series(std::string_view name) {
   auto it = series_ix_.find(name);
   if (it == series_ix_.end()) {
@@ -76,16 +55,6 @@ const metrics::Timeline* Registry::find_series(std::string_view name) const {
   return it == series_ix_.end() ? nullptr : &series_store_[it->second];
 }
 
-const Counter* Registry::find_counter(std::string_view name) const {
-  auto it = counter_ix_.find(name);
-  return it == counter_ix_.end() ? nullptr : &counter_store_[it->second];
-}
-
-const Gauge* Registry::find_gauge(std::string_view name) const {
-  auto it = gauge_ix_.find(name);
-  return it == gauge_ix_.end() ? nullptr : &gauge_store_[it->second];
-}
-
 const GkQuantile* Registry::find_quantile(std::string_view name) const {
   auto it = quantiles_.find(name);
   return it == quantiles_.end() ? nullptr : &it->second;
@@ -101,25 +70,11 @@ const std::vector<std::string_view>& Registry::series_names() const {
   return series_names_cache_;
 }
 
-const std::vector<std::string_view>& Registry::counter_names() const {
-  if (counter_names_dirty_) {
-    counter_names_cache_.clear();
-    counter_names_cache_.reserve(counter_ix_.size());
-    for (const auto& [k, v] : counter_ix_) counter_names_cache_.push_back(k);
-    counter_names_dirty_ = false;
-  }
-  return counter_names_cache_;
-}
-
 std::vector<std::pair<std::string, double>> Registry::snapshot() const {
-  // Insertion order counters -> gauges -> probes; a stable sort plus a
-  // keep-last dedupe reproduces the old map's overwrite semantics.
+  // Probes in registration order; a stable sort plus a keep-last
+  // dedupe lets the later of two same-named probes win.
   std::vector<std::pair<std::string, double>> flat;
-  flat.reserve(counter_ix_.size() + gauge_ix_.size() + probes_.size());
-  for (const auto& [k, idx] : counter_ix_)
-    flat.emplace_back(k, static_cast<double>(counter_store_[idx].value()));
-  for (const auto& [k, idx] : gauge_ix_)
-    flat.emplace_back(k, gauge_store_[idx].value());
+  flat.reserve(probes_.size());
   for (const auto& p : probes_) {
     std::string name(series_name(p.series));
     if (p.kind == ProbeKind::kCumulative) name += ".total";

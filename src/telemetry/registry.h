@@ -7,8 +7,6 @@
 // consumer (CTQO analyzer, exports, figure benches) stitched them
 // together by hand. The registry gives them one namespace:
 //
-//   * counter(name)  — monotonic totals (drops, retransmits, events);
-//   * gauge(name)    — instantaneous levels (heap depth, breaker state);
 //   * quantile(name) — streaming GK latency summaries (metric.h);
 //   * series(name)   — fixed-window metrics::Timeline (the 50 ms plane
 //                      the paper's figures and the correlation engine
@@ -18,11 +16,12 @@
 //                      statistic, and sample() materializes one window
 //                      per tick into the matching series.
 //
-// Names are interned: intern_*() resolves a name to a stable index
-// handle once, at wiring time, and every later update through the
-// handle is plain array indexing — the periodic sample() tick touches
-// no strings and no maps. The name maps survive only for wiring and
-// export-time resolution (find_*, snapshot, *_names).
+// Series names are interned: intern_series() resolves a name to a
+// stable index handle once, at wiring time, and every later update
+// through the handle is plain array indexing — the periodic sample()
+// tick touches no strings and no maps. The name map survives only for
+// wiring and export-time resolution (find_series, snapshot,
+// series_names).
 //
 // Non-perturbation guarantee (DESIGN.md invariant 10): the registry
 // schedules no events and draws no randomness. Probes are pure reads;
@@ -50,20 +49,8 @@ namespace ntier::telemetry {
 // Sentinel index of a default-constructed (invalid) metric handle.
 inline constexpr std::uint32_t kNoMetric = 0xffffffffu;
 
-// Stable index of an interned Counter; resolves via Registry::at() with
-// no string or map work. Trivially copyable, 4 bytes.
-struct CounterHandle {
-  std::uint32_t idx = kNoMetric;
-  bool valid() const { return idx != kNoMetric; }
-};
-
-// Stable index of an interned Gauge (see CounterHandle).
-struct GaugeHandle {
-  std::uint32_t idx = kNoMetric;
-  bool valid() const { return idx != kNoMetric; }
-};
-
-// Stable index of an interned Timeline series (see CounterHandle).
+// Stable index of an interned Timeline series; resolves via
+// Registry::at() with no string or map work. Trivially copyable, 4 bytes.
 struct SeriesHandle {
   std::uint32_t idx = kNoMetric;
   bool valid() const { return idx != kNoMetric; }
@@ -79,22 +66,14 @@ class Registry {
 
   // --- interning (create-or-get; handles stay valid for the registry's
   // life and index in O(1) with no string work) --------------------------
-  CounterHandle intern_counter(std::string_view name);
-  GaugeHandle intern_gauge(std::string_view name);
   SeriesHandle intern_series(std::string_view name);
 
   // --- handle resolution (hot path: plain array indexing) ---------------
-  Counter& at(CounterHandle h) { return counter_store_[h.idx]; }
-  Gauge& at(GaugeHandle h) { return gauge_store_[h.idx]; }
   metrics::Timeline& at(SeriesHandle h) { return series_store_[h.idx]; }
-  const Counter& at(CounterHandle h) const { return counter_store_[h.idx]; }
-  const Gauge& at(GaugeHandle h) const { return gauge_store_[h.idx]; }
   const metrics::Timeline& at(SeriesHandle h) const { return series_store_[h.idx]; }
 
   // --- create-or-get by name (references are stable for the registry's
   // life; prefer interning a handle outside one-shot wiring code) --------
-  Counter& counter(std::string_view name) { return at(intern_counter(name)); }
-  Gauge& gauge(std::string_view name) { return at(intern_gauge(name)); }
   GkQuantile& quantile(std::string_view name, double eps = 0.005);
   metrics::Timeline& series(std::string_view name) { return at(intern_series(name)); }
 
@@ -113,19 +92,16 @@ class Registry {
   // --- read access --------------------------------------------------------
   bool has_series(std::string_view name) const;
   const metrics::Timeline* find_series(std::string_view name) const;
-  const Counter* find_counter(std::string_view name) const;
-  const Gauge* find_gauge(std::string_view name) const;
   const GkQuantile* find_quantile(std::string_view name) const;
-  // Name lists, sorted; cached between interns so repeated exports do
+  // Series names, sorted; cached between interns so repeated exports do
   // not rebuild them. Views point at registry-owned storage.
   const std::vector<std::string_view>& series_names() const;
-  const std::vector<std::string_view>& counter_names() const;
 
-  // Flat name->value view of every scalar (counters, gauges, and probe
-  // totals), name-sorted — the manifest/dashboard "counter totals"
-  // block. Probe totals appear under their probe name (cumulative reads
-  // fn() now; gauge probes report the current level). Duplicate names
-  // resolve gauge-over-counter, probe-over-both (last write wins).
+  // Flat name->value view of every probe total, name-sorted — the
+  // manifest/dashboard "counter totals" block. Cumulative probes appear
+  // as "<name>.total" and read fn() now; gauge probes report the
+  // current level under their own name. When two probes share a name
+  // the later one wins.
   std::vector<std::pair<std::string, double>> snapshot() const;
 
  private:
@@ -144,22 +120,16 @@ class Registry {
   std::string_view series_name(SeriesHandle h) const { return series_keys_[h.idx]; }
 
   sim::Duration window_;
-  // Metric stores are deques: push_back never moves existing elements,
-  // so counter()/series() references and handle indices stay valid.
-  std::deque<Counter> counter_store_;
-  std::deque<Gauge> gauge_store_;
+  // The series store is a deque: push_back never moves existing
+  // elements, so series() references and handle indices stay valid.
   std::deque<metrics::Timeline> series_store_;
-  NameIndex counter_ix_;
-  NameIndex gauge_ix_;
   NameIndex series_ix_;
   std::vector<std::string_view> series_keys_;  // store index -> name
   std::map<std::string, GkQuantile, std::less<>> quantiles_;
   std::vector<Probe> probes_;
-  // Sorted-name caches, invalidated on intern (cold: exports only).
+  // Sorted-name cache, invalidated on intern (cold: exports only).
   mutable std::vector<std::string_view> series_names_cache_;
-  mutable std::vector<std::string_view> counter_names_cache_;
   mutable bool series_names_dirty_ = true;
-  mutable bool counter_names_dirty_ = true;
 };
 
 }  // namespace ntier::telemetry

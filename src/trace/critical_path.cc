@@ -1,8 +1,10 @@
 #include "trace/critical_path.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cinttypes>
 #include <map>
+
+#include "sim/format.h"
 
 namespace ntier::trace {
 
@@ -84,16 +86,11 @@ sim::Duration CriticalPath::by_kind(SpanKind k) const {
 }
 
 std::string CriticalPath::to_string() const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "request %llu, latency %.1f ms:",
-                static_cast<unsigned long long>(request_id), total.to_millis());
-  std::string out = buf;
-  for (const Item& i : items) {
-    std::snprintf(buf, sizeof buf, " %.1f ms %s at %s (%.1f%%),",
-                  i.time.to_millis(), trace::to_string(i.kind), i.site.c_str(),
-                  i.share * 100.0);
-    out += buf;
-  }
+  std::string out;
+  sim::appendf(out, "request %" PRIu64 ", latency %.1f ms:", request_id, total.to_millis());
+  for (const Item& i : items)
+    sim::appendf(out, " %.1f ms %s at %s (%.1f%%),", i.time.to_millis(), trace::to_string(i.kind),
+                 i.site.c_str(), i.share * 100.0);
   if (!items.empty()) out.pop_back();  // trailing comma
   return out;
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "metrics/histogram.h"
@@ -168,16 +169,17 @@ TEST(Registry, GaugeProbeWritesLevelsVerbatim) {
 
 TEST(Registry, SnapshotIsNameSortedAndMarksProbeTotals) {
   Registry reg;
-  reg.counter("web.drops").add(3);
-  reg.gauge("breaker.state").set(2.0);
+  reg.add_probe("web.drops", Registry::ProbeKind::kGauge, [] { return 3.0; });
   std::uint64_t total = 41;
   reg.add_probe("sim.events", Registry::ProbeKind::kCumulative,
                 [&] { return static_cast<double>(total); });
+  reg.add_probe("breaker.state", Registry::ProbeKind::kGauge, [] { return 1.0; });
+  reg.add_probe("breaker.state", Registry::ProbeKind::kGauge, [] { return 2.0; });
   total = 42;
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].first, "breaker.state");
-  EXPECT_DOUBLE_EQ(snap[0].second, 2.0);
+  EXPECT_DOUBLE_EQ(snap[0].second, 2.0);  // the later of two same-named probes wins
   EXPECT_EQ(snap[1].first, "sim.events.total");
   EXPECT_DOUBLE_EQ(snap[1].second, 42.0);  // probe totals read fn() now
   EXPECT_EQ(snap[2].first, "web.drops");
@@ -186,15 +188,17 @@ TEST(Registry, SnapshotIsNameSortedAndMarksProbeTotals) {
 
 TEST(Registry, CreateOrGetReturnsStableInstruments) {
   Registry reg;
-  auto& c = reg.counter("x");
-  c.add(2);
-  EXPECT_EQ(&reg.counter("x"), &c);
-  EXPECT_EQ(reg.counter("x").value(), 2u);
+  auto& s = reg.series("x");
+  s.set(Time::origin(), 2.0);
+  EXPECT_EQ(&reg.series("x"), &s);
+  EXPECT_EQ(&reg.at(reg.intern_series("x")), &s);
+  for (int i = 0; i < 1000; ++i) reg.series(std::to_string(i));
+  EXPECT_EQ(&reg.series("x"), &s);  // growth moves no series
+  EXPECT_DOUBLE_EQ(reg.series("x").value_at(0), 2.0);
   auto& q = reg.quantile("lat", 0.01);
   q.record(1.0);
   EXPECT_EQ(&reg.quantile("lat"), &q);
   EXPECT_DOUBLE_EQ(reg.quantile("lat").eps(), 0.01);
-  EXPECT_TRUE(reg.has_series("x") == false);
-  reg.series("s").set(Time::origin(), 1.0);
-  EXPECT_TRUE(reg.has_series("s"));
+  EXPECT_FALSE(reg.has_series("lat"));
+  EXPECT_TRUE(reg.has_series("999"));
 }
