@@ -4,7 +4,6 @@
 // change to a model's admission, queueing, step interpreter or
 // shed/abort path fails here with both numbers in the message.
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -23,27 +22,8 @@ using sim::Duration;
 using sim::Time;
 
 using test::pin;
-
-// One server's name and Stats counters as a text line.
-std::string stats_line(const server::Server& s) {
-  const server::Server::Stats& st = s.stats();
-  std::string out = s.name();
-  for (const std::uint64_t v : {st.offered, st.accepted, st.dropped, st.completed, st.failed,
-                                st.refused_down, st.expired, st.aborted, st.ds_retries,
-                                st.hedges_sent}) {
-    out += ' ';
-    out += std::to_string(v);
-  }
-  return out;
-}
-
-// Spans per "<kind> <site>" over every retained trace.
-std::map<std::string, std::size_t> span_counts(const trace::TraceList& traces) {
-  std::map<std::string, std::size_t> n;
-  for (const auto& tr : traces)
-    for (const auto& s : tr->spans()) ++n[std::string(trace::to_string(s.kind)) + " " + s.site];
-  return n;
-}
+using test::span_counts;
+using test::stats_line;
 
 // The pins of one run: the span CSV first, then one per server (flat
 // order).
