@@ -240,6 +240,79 @@ TEST(HotPath, SteadyStateEventsDoZeroAllocations) {
   EXPECT_EQ(deletes() - d0, 0u) << "steady-state events freed";
 }
 
+// The governed hops join the guarantee: a client with an attempt
+// timeout, retries and a hedge over two sync tiers whose hop runs the
+// same policy. One request in a hundred needs 3 ms at the back tier, so
+// both hops keep timing attempts out, retrying and hedging while the
+// thread pools never queue. Per-call and per-attempt state comes from
+// warmed slab pools and every policy closure fits its InlineFn budget,
+// so none of it touches the allocator.
+TEST(HotPath, GovernedHopsDoZeroAllocations) {
+  sim::Simulation sim;
+  cpu::HostCpu host(sim, 8.0);
+  cpu::VmCpu* web_vm = host.add_vm("web", 4);
+  cpu::VmCpu* app_vm = host.add_vm("app", 4);
+  server::AppProfile profile = test::one_class_profile();
+  server::RequestClassProfile slow = profile.classes[0];
+  slow.name = "slow";
+  slow.weight = 0.01;
+  slow.db_cpu = Duration::millis(3);
+  profile.classes.push_back(slow);
+
+  server::SyncConfig scfg;
+  scfg.threads_per_process = 512;
+  server::SyncServer back(
+      sim, "app", app_vm, &profile,
+      [](const server::RequestClassProfile& c) { return test::cpu_only(c.db_cpu); }, scfg);
+  server::SyncServer front(
+      sim, "web", web_vm, &profile,
+      [](const server::RequestClassProfile&) {
+        return test::cpu_down_cpu(Duration::micros(100), Duration::micros(50));
+      },
+      scfg);
+  front.connect_downstream(&back, net::RtoPolicy::rhel6(), net::Link{});
+
+  policy::TailPolicy tp;
+  tp.attempt_timeout = Duration::millis(2);
+  tp.retry.max_attempts = 3;
+  tp.retry.base_backoff = Duration::micros(200);
+  tp.retry.max_backoff = Duration::millis(2);
+  tp.hedge.enabled = true;
+  tp.hedge.initial_delay = Duration::millis(1);
+  tp.hedge.min_delay = Duration::micros(500);
+  tp.hedge.warmup_samples = 16;
+  front.enable_tail_policy(tp, sim::Rng(77));
+
+  workload::ClientConfig ccfg;
+  ccfg.sessions = 16;
+  ccfg.mean_think = Duration::millis(5);
+  ccfg.policy = tp;
+  workload::ClientPool clients(sim, sim::Rng(1234), &profile, &front, ccfg);
+  clients.start();
+
+  // Warm-up: 4 s, because the event engine's same-tick batch scratch
+  // still reaches a new high-water mark after 2 s of this mix.
+  sim.run_until(Time::from_seconds(4.0));
+  const std::uint64_t warm_events = sim.events_executed();
+  const policy::PolicyStats warm_client = clients.governor()->stats();
+  const policy::PolicyStats warm_tier = front.governor()->stats();
+  const std::uint64_t n0 = news();
+  const std::uint64_t d0 = deletes();
+
+  sim.run_until(Time::from_seconds(5.0));
+
+  const std::uint64_t measured = sim.events_executed() - warm_events;
+  EXPECT_GE(measured, 10000u);
+  EXPECT_GT(clients.completed(), 0u);
+  // The measured second retries and hedges on both hops.
+  EXPECT_GT(clients.governor()->stats().retries, warm_client.retries);
+  EXPECT_GT(clients.governor()->stats().hedges, warm_client.hedges);
+  EXPECT_GT(front.governor()->stats().retries, warm_tier.retries);
+  EXPECT_GT(front.governor()->stats().hedges, warm_tier.hedges);
+  EXPECT_EQ(news() - n0, 0u) << "governed hops allocated";
+  EXPECT_EQ(deletes() - d0, 0u) << "governed hops freed";
+}
+
 // The policy windows join the guarantee: a hedging governor decides a
 // hedge delay on every governed dispatch, and an overload controller
 // feeds its sojourn window on every dequeue. Both windows reserve their
