@@ -30,9 +30,9 @@
 //
 // Shed/retry contract (docs/OVERLOAD.md): a shed with ShedMode::kErrorReply
 // is a *retryable* rejection — the shedding tier replies immediately with
-// Request::overload_shed set, the upstream governed sender (PR 1
-// HopGovernor, server or client side) concludes the attempt as a failure
-// and routes it through retry_or_fail, spending retry budget. ShedMode::
+// Request::overload_shed set, the upstream governed sender (the
+// server::GovernedHop engine, server or client side) concludes the
+// attempt as a failure and retries it, spending retry budget. ShedMode::
 // kTcpDrop instead refuses the packet like a full accept queue (sender
 // retransmits per RTO) — the paper-baseline behaviour.
 //

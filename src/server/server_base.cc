@@ -6,43 +6,6 @@
 namespace ntier::server {
 namespace detail {
 
-// Per-dispatch bookkeeping, shared by every attempt/hedge/timeout closure
-// of one downstream call. Slab-pooled: closures capture a 16-byte ref.
-struct DispatchState {
-  RequestPtr req;
-  sim::EventFn on_reply;
-  bool settled = false;  // a reply (or permanent failure) already unwound
-  int attempts = 1;      // primary attempts started (1 = the first send)
-  int hedges = 0;        // duplicate copies issued
-  // The hop this dispatch travels: the route's transport (fan-out) or
-  // the legacy connect_downstream transport. `route` is null on the
-  // legacy path; its pick() chooses the destination per attempt.
-  net::Transport* tx = nullptr;
-  Server::Route* route = nullptr;
-  // Tracing: the downstream-wait span all attempts/gaps/policy events of
-  // this dispatch nest under, and its site label ("tomcat->mysql") —
-  // built only for traced requests.
-  std::uint64_t ds_span = trace::kNoSpan;
-  std::string site;
-
-  // Closes the downstream-wait span and resumes the caller. Runs once
-  // per dispatch (callers guard via `settled`).
-  void unwind(sim::Time now) {
-    trace_close(req, ds_span, now);
-    on_reply();
-  }
-};
-
-// Per-attempt policy state (conclusion guard + latency clock). Pooled so
-// the governed path's reply/timeout/result closures stay within the
-// InlineFn budget.
-struct GovAttempt {
-  sim::PoolRef<DispatchState> st;
-  bool concluded = false;  // this attempt already counted for the breaker
-  sim::Time sent_at{};
-  bool is_hedge = false;
-};
-
 // Fan-in barrier of one fan-out dispatch: the caller's continuation
 // fires when the last route settles. Pooled so per-route closures
 // capture a 16-byte ref.
@@ -55,19 +18,7 @@ struct JoinState {
 
 namespace {
 
-using detail::DispatchState;
-using detail::GovAttempt;
 using detail::JoinState;
-
-sim::SlabPool<DispatchState>& dispatch_pool() {
-  thread_local sim::SlabPool<DispatchState> pool;
-  return pool;
-}
-
-sim::SlabPool<GovAttempt>& attempt_pool() {
-  thread_local sim::SlabPool<GovAttempt> pool;
-  return pool;
-}
 
 sim::SlabPool<JoinState>& join_pool() {
   thread_local sim::SlabPool<JoinState> pool;
@@ -109,7 +60,10 @@ void Server::add_route(std::function<Server*()> pick, net::RtoPolicy rto,
 
 void Server::enable_tail_policy(const policy::TailPolicy& p, sim::Rng rng) {
   if (!p.any()) return;
-  governor_ = std::make_unique<policy::HopGovernor>(sim_, std::move(rng), p);
+  governed_ = std::make_unique<GovernedHop>(sim_, std::move(rng), p, [this](Call& c, bool failed) {
+    if (failed) ++stats_.failed;
+    unwind(c);
+  });
 }
 
 void Server::enable_overload_control(const policy::overload::OverloadPolicy& p) {
@@ -309,220 +263,60 @@ void Server::dispatch_via(Route* route, const RequestPtr& req,
   // Tracing: one downstream-wait span covers this dispatch from first
   // send to unwind; RTO gaps and policy events nest under it, and the
   // downstream tier's hop span nests under it via Job::parent_span.
-  StPtr st = dispatch_pool().make();
-  st->req = req;
-  st->on_reply = std::move(on_reply);
-  st->tx = route != nullptr ? route->transport.get() : transport_.get();
-  st->route = route;
+  CallPtr c = make_call();
+  c->req = req;
+  c->then = std::move(on_reply);
+  c->tx = route != nullptr ? route->transport.get() : transport_.get();
+  if (route != nullptr) {
+    c->pick = &route->pick;
+  } else {
+    c->to = downstream_;
+  }
   if (req->traced()) {
-    st->site = name_ + "->" + (route != nullptr ? route->label : downstream_->name());
-    st->ds_span = trace_open(req, trace::SpanKind::kDownstream, st->site,
-                             parent_span, sim_.now());
+    c->site = name_ + "->" + (route != nullptr ? route->label : downstream_->name());
+    c->gap_site = c->site;
+    c->span = trace_open(req, trace::SpanKind::kDownstream, c->site, parent_span, sim_.now());
   }
 
-  if (!governor_) {
-    // Plain path: single send, retransmission handled inside Transport.
-    Job down;
-    down.req = req;
-    down.parent_span = st->ds_span;
-    // The downstream tier calls this at its completion instant; the
-    // return-path link latency belongs to this (sending) side.
-    down.reply = [this, st](const RequestPtr&) {
-      sim_.after(st->tx->link().sample(), [this, st] { st->unwind(sim_.now()); });
-    };
-    st->tx->send(
-        [route, next = downstream_, down = std::move(down)](/*attempt*/) {
-          return (route != nullptr ? route->pick() : next)->offer(down);
-        },
-        [this, st](const net::TxOutcome& out) {
-          st->req->total_drops += out.drops;
-          if (!out.delivered) {
-            // Connection abandoned after max retries: fail the request and
-            // unwind so upstream threads/clients are released.
-            st->req->failed = true;
-            ++stats_.failed;
-            st->unwind(sim_.now());
-          }
-        },
-        retransmit_observer(st));
-    return;
-  }
-
-  const policy::TailPolicy& pol = governor_->policy();
-  governor_->on_request();
-
-  if (req->has_deadline() && sim_.now() >= req->deadline) {
-    // Budget already spent before the hop: cancel without sending.
-    ++governor_->stats().deadline_cancels;
-    st->settled = true;
-    req->failed = true;
-    req->deadline_expired = true;
-    ++stats_.failed;
-    trace_instant(req, trace::SpanKind::kDeadlineCancel, st->site, st->ds_span,
-                  sim_.now());
-    sim_.after(sim::Duration::zero(), [this, st] { st->unwind(sim_.now()); });
-    return;
-  }
-  if (!governor_->allow_send()) {
-    // Breaker open: fast-fail instead of queueing onto a sick downstream.
-    st->settled = true;
-    req->failed = true;
-    ++stats_.failed;
-    trace_instant(req, trace::SpanKind::kBreakerReject, st->site, st->ds_span,
-                  sim_.now());
-    sim_.after(sim::Duration::zero(), [this, st] { st->unwind(sim_.now()); });
-    return;
-  }
-
-  send_attempt(st, /*is_hedge=*/false);
-
-  if (pol.hedge.enabled) {
-    // Hedge copies fire at multiples of the current percentile delay
-    // (scheduled up front: deterministic, no self-referential timers).
-    const sim::Duration d = governor_->hedge_delay();
-    for (int i = 1; i <= pol.hedge.max_hedges; ++i) {
-      sim_.after(d * i, [this, st, i] {
-        if (st->settled) return;
-        if (st->req->has_deadline() && sim_.now() >= st->req->deadline) return;
-        ++st->hedges;
-        ++st->req->hedge_copies;
-        ++governor_->stats().hedges;
-        ++stats_.hedges_sent;
-        trace_instant(st->req, trace::SpanKind::kHedge, st->site, st->ds_span,
-                      sim_.now(), /*detail=*/i);
-        send_attempt(st, /*is_hedge=*/true);
-      });
-    }
-  }
-}
-
-net::RetransmitFn Server::retransmit_observer(const StPtr& st) {
-  if (!st->req->traced()) return {};
-  // Each refused/lost attempt costs the sender one whole RTO before the
-  // next attempt — the paper's 3 s mechanism, recorded verbatim.
-  return [st](sim::Time at, sim::Duration rto, int attempt) {
-    st->req->spans->add(trace::SpanKind::kRtoGap, st->site, st->ds_span, at,
-                        at + rto, attempt);
-  };
-}
-
-void Server::send_attempt(const StPtr& st, bool is_hedge) {
-  // Per-attempt conclusion guard: an attempt concludes exactly once for
-  // breaker/latency accounting (timeout, transport failure, or reply).
-  GaPtr ga = attempt_pool().make();
-  ga->st = st;
-  ga->sent_at = sim_.now();
-  ga->is_hedge = is_hedge;
-
-  Job down;
-  down.req = st->req;
-  down.parent_span = st->ds_span;
-  down.reply = [this, ga](const RequestPtr&) {
-    sim_.after(ga->st->tx->link().sample(), [this, ga] {
-      DispatchState& st = *ga->st;
-      if (st.req->overload_shed && !st.settled) {
-        // The downstream tier shed this attempt with a retryable
-        // rejection: clear the canned error and consult the retry policy
-        // (spending retry budget) instead of settling the dispatch — the
-        // shed/retry contract of docs/OVERLOAD.md.
-        st.req->overload_shed = false;
-        st.req->failed = false;
-        if (!ga->concluded) {
-          ga->concluded = true;
-          governor_->on_outcome(false);
-        }
-        if (!ga->is_hedge) retry_or_fail(ga->st);
-        return;
-      }
-      if (!ga->concluded) {
-        ga->concluded = true;
-        governor_->on_outcome(!st.req->failed);
-        if (!st.req->failed) governor_->record_latency(sim_.now() - ga->sent_at);
-      }
-      if (st.settled) return;  // another copy already unwound
-      st.settled = true;
-      if (ga->is_hedge) ++governor_->stats().hedge_wins;
-      st.unwind(sim_.now());
-    });
-  };
-
-  st->tx->send(
-      [route = st->route, next = downstream_, down = std::move(down)](/*attempt*/) {
-        return (route != nullptr ? route->pick() : next)->offer(down);
-      },
-      [this, ga](const net::TxOutcome& out) {
-        ga->st->req->total_drops += out.drops;
-        if (out.delivered) return;  // conclusion arrives with the reply
-        if (ga->concluded) return;  // attempt_timeout already took over
-        ga->concluded = true;
-        governor_->on_outcome(false);
-        // Hedge copies never settle on failure — the primary chain owns
-        // the retry/fail decision and a surviving copy may still win.
-        if (!ga->is_hedge) retry_or_fail(ga->st);
-      },
-      retransmit_observer(st));
-
-  const sim::Duration at = governor_->policy().attempt_timeout;
-  if (!is_hedge && at > sim::Duration::zero()) {
-    sim_.after(at, [this, ga] {
-      if (ga->st->settled || ga->concluded) return;
-      ga->concluded = true;
-      governor_->on_outcome(false);
-      // The timed-out attempt stays in flight downstream (its work is not
-      // recalled); if it lands before the retry it still wins via `st`.
-      retry_or_fail(ga->st);
-    });
-  }
-}
-
-void Server::retry_or_fail(const StPtr& st) {
-  if (st->settled) return;
-  const policy::RetryPolicy& rp = governor_->policy().retry;
-  if (!rp.enabled() || st->attempts >= rp.max_attempts) {
-    fail_dispatch(st);
-    return;
-  }
-  if (st->req->has_deadline() && sim_.now() >= st->req->deadline) {
-    ++governor_->stats().deadline_cancels;
-    st->req->deadline_expired = true;
-    trace_instant(st->req, trace::SpanKind::kDeadlineCancel, st->site,
-                  st->ds_span, sim_.now());
-    fail_dispatch(st);
-    return;
-  }
-  if (!governor_->try_retry_token()) {
-    fail_dispatch(st);
-    return;
-  }
-  const sim::Duration backoff = governor_->next_backoff(st->attempts);
-  ++governor_->stats().retries;
-  ++stats_.ds_retries;
-  // The backoff interval itself is a trace span: idle wall-clock the
-  // request spends between attempts, charged to the policy layer.
-  trace_add(st->req, trace::SpanKind::kRetry, st->site, st->ds_span, sim_.now(),
-            sim_.now() + backoff, /*detail=*/st->attempts);
-  sim_.after(backoff, [this, st] {
-    if (st->settled) return;
-    if (st->req->has_deadline() && sim_.now() >= st->req->deadline) {
-      ++governor_->stats().deadline_cancels;
-      st->req->deadline_expired = true;
-      trace_instant(st->req, trace::SpanKind::kDeadlineCancel, st->site,
-                    st->ds_span, sim_.now());
-      fail_dispatch(st);
+  if (governed_) {
+    if (governed_->admit(*c)) {
+      governed_->start(c);
       return;
     }
-    ++st->attempts;
-    ++st->req->app_retries;
-    send_attempt(st, /*is_hedge=*/false);
-  });
+    // Deadline spent before the hop, or the breaker is open: fail
+    // without sending, off this stack frame.
+    ++stats_.failed;
+    sim_.after(sim::Duration::zero(), [this, c] { unwind(*c); });
+    return;
+  }
+
+  // Plain path: single send, retransmission handled inside Transport.
+  Job down;
+  down.req = req;
+  down.parent_span = c->span;
+  // The downstream tier calls this at its completion instant; the
+  // return-path link latency belongs to this (sending) side.
+  down.reply = [this, c](const RequestPtr&) {
+    sim_.after(c->tx->link().sample(), [this, c] { unwind(*c); });
+  };
+  c->tx->send([c, down = std::move(down)] { return c->destination()->offer(down); },
+              [this, c](const net::TxOutcome& out) {
+                c->req->total_drops += out.drops;
+                if (!out.delivered) {
+                  // Connection abandoned after max retries: fail the
+                  // request and unwind so upstream threads/clients are
+                  // released.
+                  c->req->failed = true;
+                  ++stats_.failed;
+                  unwind(*c);
+                }
+              },
+              gap_observer(c));
 }
 
-void Server::fail_dispatch(const StPtr& st) {
-  if (st->settled) return;
-  st->settled = true;
-  st->req->failed = true;
-  ++stats_.failed;
-  st->unwind(sim_.now());
+void Server::unwind(Call& c) {
+  trace_close(c.req, c.span, sim_.now());
+  c.then();
 }
 
 }  // namespace ntier::server

@@ -11,7 +11,10 @@
 // through every tier), failed or timed-out attempts are re-issued with
 // backoff under a retry budget, duplicate (hedged) copies go out after a
 // percentile delay, and a circuit breaker fast-fails while the front
-// tier looks sick.
+// tier looks sick. The attempts, hedges, timeouts and retries run in the
+// governed-call engine every tier hop shares (server/governed_call.h);
+// the client adds only the deadline stamp, its browser-timeout and
+// deadline-abandon timers, and the settle into the session loop.
 #pragma once
 
 #include <cstdint>
@@ -81,25 +84,16 @@ class ClientPool {
   // The client's TCP stack toward the web tier (fault-injection target).
   net::Transport& transport() { return transport_; }
   // Policy runtime; null when no policy is configured.
-  policy::HopGovernor* governor() { return governor_ ? governor_.get() : nullptr; }
-  const policy::HopGovernor* governor() const { return governor_ ? governor_.get() : nullptr; }
+  policy::HopGovernor* governor() { return governed_ ? &governed_->governor() : nullptr; }
+  const policy::HopGovernor* governor() const {
+    return governed_ ? &governed_->governor() : nullptr;
+  }
 
  private:
-  struct Flight;   // per-logical-request policy state (slab-pooled)
-  struct Attempt;  // per-attempt conclusion guard (slab-pooled)
-  using FlPtr = sim::PoolRef<Flight>;
-  using GaPtr = sim::PoolRef<Attempt>;
-
-  static sim::SlabPool<Flight>& flight_pool();
-  static sim::SlabPool<Attempt>& attempt_pool();
-
   void session_think(std::size_t session);
   net::RetransmitFn retransmit_observer(const server::RequestPtr& req);
   void issue(std::size_t session);
   void issue_governed(std::size_t session, const server::RequestPtr& req);
-  void send_attempt(const FlPtr& fl, bool is_hedge);
-  void retry_or_fail(const FlPtr& fl);
-  void settle_failed(const FlPtr& fl);
 
   sim::Simulation& sim_;
   sim::Rng rng_;
@@ -108,7 +102,7 @@ class ClientPool {
   ClientConfig cfg_;
   BurstClock* burst_;
   net::Transport transport_;
-  std::unique_ptr<policy::HopGovernor> governor_;
+  std::unique_ptr<server::GovernedHop> governed_;
 
   void notify(const server::RequestPtr& r) {
     if (r->completed < cfg_.measure_from) return;
