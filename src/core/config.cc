@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/testbed.h"
+
 namespace ntier::core {
 
 const char* to_string(Architecture a) {
@@ -62,6 +64,8 @@ void apply_protocol(ExperimentConfig& cfg, const net::ProtocolProfile& p) {
 void validate(const ExperimentConfig& cfg) {
   const SystemConfig& s = cfg.system;
 
+  const std::string name_why = invalid_run_name(cfg.name);
+  if (!name_why.empty()) reject(cfg.name, name_why);
   if (cfg.duration <= sim::Duration::zero())
     reject(cfg.name, "duration must be positive");
   if (cfg.sample_window <= sim::Duration::zero())

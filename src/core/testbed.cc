@@ -7,6 +7,12 @@
 
 namespace ntier::core {
 
+std::string invalid_run_name(const std::string& name) {
+  if (name.find('/') != std::string::npos)
+    return "the run name contains '/' (it names the run's output files)";
+  return "";
+}
+
 Testbed::Testbed(RunInfo info)
     : rng_(info.seed),
       info_(std::move(info)),

@@ -50,6 +50,12 @@ struct RunInfo {
   std::uint64_t sessions = 0;
 };
 
+// Why `name` cannot name a run, or "" when it can. The manifest,
+// dashboard, incident report and CSV exports of a run are files named
+// after it, so a '/' in the name would point them into a directory
+// that does not exist. core::validate and graph::validate apply it.
+std::string invalid_run_name(const std::string& name);
+
 // The shared half of a built system; construct a builder, not this.
 // Distinct instances share nothing (sweep replications run in parallel).
 class Testbed {

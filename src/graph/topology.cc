@@ -1,5 +1,6 @@
 #include "graph/topology.h"
 
+#include "core/testbed.h"
 #include "net/protocol.h"
 
 #include <algorithm>
@@ -326,6 +327,8 @@ GraphConfig parse_topology(const std::string& text) {
 
 std::string invalid_reason(const GraphConfig& cfg) {
   auto why = [&cfg](const std::string& msg) { return "graph '" + cfg.name + "': " + msg; };
+  const std::string name_why = core::invalid_run_name(cfg.name);
+  if (!name_why.empty()) return why(name_why);
   const std::size_t n = cfg.nodes.size();
   if (n == 0) return why("a graph needs at least one node");
   if (cfg.duration <= sim::Duration::zero()) return why("duration must be positive");

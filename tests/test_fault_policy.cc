@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -519,6 +521,23 @@ TEST(Validate, RejectsBadConfigsDescriptively) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("crash tier"), std::string::npos);
   }
+}
+
+// A run's output files are named after it, so a '/' in the name would
+// write no manifest and no dashboard; validate refuses it by name, and
+// so every sweep point is checked too.
+TEST(Validate, RejectsASlashInTheRunName) {
+  auto cfg = core::scenarios::fig3_consolidation_sync();
+  cfg.name = "a/b";
+  try {
+    core::validate(cfg);
+    FAIL() << "a run named a/b passed validation";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'a/b'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("'/'"), std::string::npos) << e.what();
+  }
+  cfg.name = "a-b.c";
+  EXPECT_NO_THROW(core::validate(cfg));
 }
 
 TEST(Validate, RejectsZeroLengthFaultWindows) {

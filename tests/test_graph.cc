@@ -138,6 +138,22 @@ TEST(Validation, RejectsDanglingEdge) {
   EXPECT_NE(invalid_reason(cfg), "");
 }
 
+// The graph's name names its run and output files (see the 3-tier
+// Validate.RejectsASlashInTheRunName).
+TEST(Validation, RejectsASlashInTheGraphName) {
+  auto cfg = parse_topology(
+      "graph a/b\n"
+      "node a kind=sync threads=10 work=cpu:1ms\n");
+  EXPECT_EQ(cfg.name, "a/b");
+  try {
+    run_graph(cfg);
+    FAIL() << "a graph named a/b ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("graph 'a/b'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("'/'"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Validation, RejectsSelfEdgeAndDuplicateEdge) {
   auto cfg = two_node();
   cfg.edges.push_back({1, 1, ""});
