@@ -42,6 +42,8 @@ struct RetryPolicy {
   double budget_ratio = 0.0;
   double budget_capacity = 50.0;
 
+  // True when a failed attempt may be retried at all, and when retries
+  // spend from a budget.
   bool enabled() const { return max_attempts > 1; }
   bool budgeted() const { return budget_ratio > 0.0; }
   // Backoff before retry number `attempt` (1-based first retry); `prev`
@@ -52,9 +54,12 @@ struct RetryPolicy {
 // Token bucket shared by every logical request on one hop.
 class RetryBudget {
  public:
+  // A full bucket of `capacity` tokens, refilled by `ratio` per request
+  // (ratio 0 = unbudgeted).
   RetryBudget(double ratio, double capacity)
       : ratio_(ratio), capacity_(capacity), tokens_(capacity) {}
 
+  // Earns `ratio` tokens for a new logical request, up to the capacity.
   void on_request() {
     if (ratio_ <= 0.0) return;
     tokens_ = std::min(capacity_, tokens_ + ratio_);
@@ -98,6 +103,7 @@ struct HedgePolicy {
 // result is the one a sort of the window would give.
 class LatencyEstimator {
  public:
+  // A window of the last `capacity` latencies (0 is taken as 1).
   explicit LatencyEstimator(std::size_t capacity = 256);
   void record(sim::Duration d);
   std::size_t count() const { return total_; }
@@ -130,8 +136,11 @@ struct BreakerPolicy {
 // (probe success) or back to Open (probe failure).
 class CircuitBreaker {
  public:
+  // Closed: sends pass; open: sends are rejected; half-open: a few
+  // probe sends decide between the two.
   enum class State { kClosed, kOpen, kHalfOpen };
 
+  // A closed breaker reading `sim`'s clock for its windows.
   CircuitBreaker(sim::Simulation& sim, BreakerPolicy p) : sim_(sim), p_(p) {}
 
   // Gate consulted before each send; may transition kOpen -> kHalfOpen.
@@ -140,6 +149,7 @@ class CircuitBreaker {
   void record_success();
   void record_failure();
 
+  // The current state, and how often the breaker opened and rejected.
   State state() const { return state_; }
   std::uint64_t opens() const { return opens_; }
   std::uint64_t rejects() const { return rejects_; }
@@ -175,12 +185,14 @@ struct TailPolicy {
   HedgePolicy hedge{};
   BreakerPolicy breaker{};
 
+  // True when any mechanism is on (the hop then gets a HopGovernor).
   bool any() const {
     return deadline > sim::Duration::zero() || attempt_timeout > sim::Duration::zero() ||
            retry.enabled() || hedge.enabled || breaker.enabled;
   }
 };
 
+// What one hop's governor did, counted over the run.
 struct PolicyStats {
   std::uint64_t retries = 0;             // re-sent attempts
   std::uint64_t retries_suppressed = 0;  // retry wanted but budget empty
@@ -192,11 +204,14 @@ struct PolicyStats {
 };
 
 // Per-hop runtime for one TailPolicy: breaker + budget + latency window.
-// Owned by the sender side of a hop (a tier server or the client pool).
+// Owned by the sender side of a hop: the server::GovernedHop engine of a
+// tier server or of the client pool (server/governed_call.h).
 class HopGovernor {
  public:
+  // `rng` feeds backoff jitter; the breaker reads `sim`'s clock.
   HopGovernor(sim::Simulation& sim, sim::Rng rng, TailPolicy p);
 
+  // The policy, the counters, and the breaker (null when disabled).
   const TailPolicy& policy() const { return p_; }
   PolicyStats& stats() { return stats_; }
   const PolicyStats& stats() const { return stats_; }
