@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -22,18 +23,33 @@ class Simulation {
   // Current simulated instant (starts at Time::origin()).
   Time now() const { return now_; }
 
-  // Schedules fn at an absolute instant (>= now()). The queue places
-  // every event by its instant alone: a zero-delay event joins the
-  // currently draining tick, a timer lands in its wheel level.
-  EventHandle at(Time when, EventFn fn) {
+  // Schedules fn at an absolute instant (>= now()). `fn` is any
+  // callable an EventFn can hold, built straight into its event slot.
+  // The queue places every event by its instant alone: a zero-delay
+  // event joins the currently draining tick, a timer lands in its wheel
+  // level.
+  template <class F>
+  EventHandle at(Time when, F&& fn) {
     assert(when >= now_);
-    return queue_.push(when, std::move(fn));
+    return queue_.push(when, std::forward<F>(fn));
   }
 
   // Schedules fn after a non-negative delay.
-  EventHandle after(Duration delay, EventFn fn) {
+  template <class F>
+  EventHandle after(Duration delay, F&& fn) {
     assert(delay >= Duration::zero());
-    return queue_.push(now_ + delay, std::move(fn));
+    return queue_.push(now_ + delay, std::forward<F>(fn));
+  }
+
+  // Moves the pending event `h` to `when` (>= now()) with a fresh
+  // sequence number, keeping its callback and handle: the run order is
+  // that of h.cancel() plus a push of the same callback at `when`.
+  // Returns false, changing nothing, when the event has fired, was
+  // cancelled, or sits in the batch of the tick being drained; the
+  // caller then cancels and pushes (EventQueue::retime).
+  bool retime(const EventHandle& h, Time when) {
+    assert(when >= now_);
+    return queue_.retime(h, when);
   }
 
   // Runs events until the clock would pass `deadline`, one whole tick

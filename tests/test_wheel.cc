@@ -3,9 +3,9 @@
 // matter how events distribute across wheel levels and the per-tick
 // batch. The randomized schedules here deliberately mix same-tick
 // bursts, far-future pushes that cascade through every level, slice
-// edges that stop short of the next event, cancels at every level, and
-// cancel-after-fire no-ops, and check size() and the instant
-// run_next_tick reports at every tick.
+// edges that stop short of the next event, cancels and retimes at every
+// level, and cancel- and retime-after-fire no-ops, and check size() and
+// the instant run_next_tick reports at every tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 
 namespace {
 
+using ntier::sim::Duration;
 using ntier::sim::EventHandle;
 using ntier::sim::EventQueue;
 using ntier::sim::Rng;
@@ -105,6 +106,7 @@ TEST(WheelProperty, MatchesPriorityQueueOracleAcrossLevels) {
   Rng rng(0x5eed);
   std::vector<EventHandle> handles;
   std::vector<std::shared_ptr<bool>> oracle_handles;
+  std::vector<std::uint64_t> ids;  // the callback id behind each handle
   std::vector<std::uint64_t> fired;
   std::int64_t now = 0;
   std::uint64_t next_id = 0;
@@ -139,7 +141,7 @@ TEST(WheelProperty, MatchesPriorityQueueOracleAcrossLevels) {
   };
 
   for (int step = 0; step < 30000 && !HasFailure(); ++step) {
-    const std::uint64_t op = rng.next_u64() % 11;
+    const std::uint64_t op = rng.next_u64() % 13;
     if (op < 6) {  // push (same-tick duplicates arise from delay 0/1)
       const std::int64_t when =
           now + kDelays[rng.next_u64() % std::size(kDelays)];
@@ -148,6 +150,7 @@ TEST(WheelProperty, MatchesPriorityQueueOracleAcrossLevels) {
         fired.push_back(id);
       }));
       oracle_handles.push_back(oracle.push(when, id));
+      ids.push_back(id);
     } else if (op < 8 && !handles.empty()) {  // cancel a random handle
       const std::size_t i = rng.next_u64() % handles.size();
       ASSERT_EQ(handles[i].pending(), !*oracle_handles[i]);
@@ -156,7 +159,22 @@ TEST(WheelProperty, MatchesPriorityQueueOracleAcrossLevels) {
       // Idempotent, and a no-op after the event fired.
       handles[i].cancel();
       EXPECT_FALSE(handles[i].pending());
-    } else {
+    } else if (op >= 11 && !handles.empty()) {
+      // Retime a random handle. Its oracle is cancel + push of the same
+      // id: the event keeps its callback but takes a fresh seq. Between
+      // ticks no event sits in a batch, so retime succeeds exactly when
+      // the event is still pending.
+      const std::size_t i = rng.next_u64() % handles.size();
+      const std::int64_t when =
+          now + kDelays[rng.next_u64() % std::size(kDelays)];
+      const bool live = !*oracle_handles[i];
+      ASSERT_EQ(q.retime(handles[i], Time::from_micros(when)), live);
+      if (live) {
+        oracle.cancel(oracle_handles[i]);
+        oracle_handles[i] = oracle.push(when, ids[i]);
+      }
+      EXPECT_EQ(handles[i].pending(), live);
+    } else if (op < 11) {
       ASSERT_EQ(q.size(), oracle.live());
       ASSERT_EQ(q.empty(), oracle.live() == 0);
       // One tick (op 8, 9) or a slice as Simulation::run_until runs it
@@ -280,6 +298,70 @@ TEST(WheelCancel, CancelDuringDrainSkipsBatchedEntry) {
   EXPECT_EQ(q.run_next_tick(Time::max(), now), 2u);
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
   EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(WheelRetime, BatchedEntryDeclinesAndTheCallerPushes) {
+  // An event gathered into the draining batch cannot leave it: retime
+  // declines and changes nothing, and the caller cancels and pushes
+  // instead, the fallback HostCpu::reschedule takes.
+  EventQueue q;
+  std::vector<int> fired;
+  const Time t = Time::from_micros(50);
+  EventHandle moved;
+  q.push(t, [&] {
+    fired.push_back(1);
+    EXPECT_FALSE(q.retime(moved, t + Duration::micros(5)));
+    EXPECT_TRUE(moved.pending());
+    moved.cancel();
+    moved = q.push(t + Duration::micros(5), [&fired] { fired.push_back(2); });
+  });
+  moved = q.push(t, [&fired] { fired.push_back(-1); });
+  q.push(t, [&fired] { fired.push_back(3); });
+  Time now;
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 2u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 1u);
+  EXPECT_EQ(now, t + Duration::micros(5));
+  EXPECT_EQ(fired, (std::vector<int>{1, 3, 2}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(WheelRetime, RetimeToTheDrainingTickJoinsTheBatch) {
+  // A wheel resident retimed to the instant being drained takes a fresh
+  // seq, so it joins the batch behind everything already due there:
+  // where a cancel plus a same-instant push would run it.
+  EventQueue q;
+  std::vector<int> fired;
+  const Time t = Time::from_micros(300);
+  EventHandle later = q.push(t + Duration::millis(70), [&fired] { fired.push_back(9); });
+  q.push(t, [&] {
+    fired.push_back(1);
+    EXPECT_TRUE(q.retime(later, t));
+    EXPECT_TRUE(later.pending());
+  });
+  q.push(t, [&fired] { fired.push_back(2); });
+  Time now;
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 3u);
+  EXPECT_EQ(now, t);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 9}));
+  EXPECT_FALSE(later.pending());
+  EXPECT_TRUE(q.empty());
+
+  // A lone event runs off the singleton path, with no batch: a retime
+  // to its instant lands in the level-0 slot and runs on the next call,
+  // at the same instant.
+  const Time u = t + Duration::micros(10);
+  EventHandle again = q.push(u + Duration::millis(1), [&fired] { fired.push_back(10); });
+  q.push(u, [&] {
+    fired.push_back(4);
+    EXPECT_TRUE(q.retime(again, u));
+  });
+  fired.clear();
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 1u);
+  EXPECT_EQ(q.run_next_tick(Time::max(), now), 1u);
+  EXPECT_EQ(now, u);
+  EXPECT_EQ(fired, (std::vector<int>{4, 10}));
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace
