@@ -26,7 +26,7 @@ VmCpu* HostCpu::add_vm(std::string name, int vcpus, double weight) {
 }
 
 bool HostCpu::runnable(const VmCpu& vm, sim::Time now) {
-  return !vm.jobs_.empty() && vm.frozen_until_ < now + sim::Duration::micros(1);
+  return !vm.heap_.empty() && vm.frozen_until_ < now + sim::Duration::micros(1);
 }
 
 void HostCpu::advance() {
@@ -35,7 +35,7 @@ void HostCpu::advance() {
   const double dt = (now - last_advance_).to_seconds();
   for (auto& vmp : vms_) {
     VmCpu& vm = *vmp;
-    if (!vm.jobs_.empty()) {
+    if (!vm.heap_.empty()) {
       vm.want_s_ += dt;
       // Freeze boundaries always coincide with events (freeze_for arms a
       // wake-up at expiry), so the interval is frozen either fully or
@@ -43,10 +43,10 @@ void HostCpu::advance() {
       if (vm.frozen_until_ >= now && vm.alloc_ == 0.0) vm.stalled_s_ += dt;
       if (vm.alloc_ > 0.0) {
         vm.busy_core_s_ += vm.alloc_ * dt;
-        vm.attained_ += vm.alloc_ * dt / static_cast<double>(vm.jobs_.size());
+        vm.attained_ += vm.alloc_ * dt / static_cast<double>(vm.heap_.size());
       }
     }
-    // Note: alloc_ was computed for a fixed job set; jobs_ only mutates
+    // Note: alloc_ was computed for a fixed job set; heap_ only mutates
     // via submit/completion which advance() first, so the set is
     // constant over [last_advance_, now].
   }
@@ -70,7 +70,7 @@ void HostCpu::reschedule() {
     for (auto it = open.begin(); it != open.end();) {
       VmCpu* vm = *it;
       const double want =
-          std::min<double>(static_cast<double>(vm->jobs_.size()), vm->vcpus_);
+          std::min<double>(static_cast<double>(vm->heap_.size()), vm->vcpus_);
       const double share = remaining * vm->weight_ / total_w;
       if (want <= share + 1e-12) {
         vm->alloc_ = want;
@@ -90,47 +90,64 @@ void HostCpu::reschedule() {
   }
 
   // Earliest completion across VMs.
-  pending_.cancel();
   sim::Time best = sim::Time::max();
   for (auto& vmp : vms_) {
     VmCpu& vm = *vmp;
-    if (vm.jobs_.empty() || vm.alloc_ <= 0.0) continue;
-    const double gap = std::max(0.0, vm.jobs_.top().target - vm.attained_);
-    const double dt_s = gap * static_cast<double>(vm.jobs_.size()) / vm.alloc_;
+    if (vm.heap_.empty() || vm.alloc_ <= 0.0) continue;
+    const double gap = std::max(0.0, vm.heap_.front().target - vm.attained_);
+    const double dt_s = gap * static_cast<double>(vm.heap_.size()) / vm.alloc_;
     // Round up to the next µs so attained >= target at the event.
     const auto dt = sim::Duration::micros(
         static_cast<std::int64_t>(std::ceil(dt_s * 1e6 - 1e-9)));
     const sim::Time t = now + std::max(dt, sim::Duration::zero());
     best = std::min(best, t);
   }
-  if (best != sim::Time::max()) {
+  // Re-arm the one completion event. retime keeps the order a cancel
+  // plus a push would give; it declines when the event already fired
+  // or sits in the draining tick's batch.
+  if (best == sim::Time::max()) {
+    pending_.cancel();
+  } else if (!sim_.retime(pending_, best)) {
+    pending_.cancel();
     pending_ = sim_.at(best, [this] { on_completion_event(); });
   }
 }
 
 void HostCpu::on_completion_event() {
   advance();
-  std::vector<JobDoneFn>& done = done_scratch_;
+  std::vector<Finished>& done = done_scratch_;
   done.clear();
   for (auto& vmp : vms_) {
     VmCpu& vm = *vmp;
-    while (!vm.jobs_.empty() && vm.jobs_.top().target <= vm.attained_ + kTargetEps) {
-      done.push_back(std::move(const_cast<VmCpu::Job&>(vm.jobs_.top()).done));
-      vm.jobs_.pop();
+    while (!vm.heap_.empty() && vm.heap_.front().target <= vm.attained_ + kTargetEps) {
+      std::pop_heap(vm.heap_.begin(), vm.heap_.end(), VmCpu::LaterTarget{});
+      done.push_back({&vm, vm.heap_.back().slot});
+      vm.heap_.pop_back();
     }
   }
   reschedule();
-  for (auto& fn : done) fn();
+  // Each callback leaves its slot, and the slot is freed, before it
+  // runs: a callback that submits to the same VM, even one that grows
+  // fns_, cannot disturb it or a finished job still waiting to run.
+  for (const Finished& f : done) {
+    JobDoneFn fn = std::move(f.vm->fns_[f.slot]);
+    f.vm->free_slots_.push_back(f.slot);
+    fn();
+  }
 }
 
-void VmCpu::submit(sim::Duration demand, JobDoneFn done) {
-  host_.advance();
-  if (demand <= sim::Duration::zero()) {
-    host_.sim_.after(sim::Duration::zero(), std::move(done));
-    return;
+std::uint32_t VmCpu::add_job(sim::Duration demand) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(fns_.size());
+    fns_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  jobs_.push(Job{attained_ + demand.to_seconds(), host_.next_seq_++, std::move(done)});
-  host_.reschedule();
+  heap_.push_back(Job{attained_ + demand.to_seconds(), host_.next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), LaterTarget{});
+  return slot;
 }
 
 void VmCpu::freeze_for(sim::Duration d) {
