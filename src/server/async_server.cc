@@ -12,9 +12,9 @@ AsyncServer::AsyncServer(sim::Simulation& sim, std::string name, cpu::VmCpu* vm,
   assert(cfg.max_active > 0);
 }
 
-bool AsyncServer::do_offer(Job job) {
+bool AsyncServer::do_offer(const Job& job) {
   if (queued_requests() >= cfg_.lite_q_depth) return refuse(job);
-  park(wait_q_, admit(std::move(job)), trace::SpanKind::kPoolQueue, name_);
+  park(wait_q_, admit(job), trace::SpanKind::kPoolQueue, name_);
   pump();
   return true;
 }

@@ -41,7 +41,7 @@ class AsyncServer : public Server {
   const AsyncConfig& config() const { return cfg_; }
 
  protected:
-  bool do_offer(Job job) override;
+  bool do_offer(const Job& job) override;
   // Crash: parked-but-unstarted connections are reset with a failure
   // reply; work already in a processing step drains.
   void abort_queued() override { abort_waiting(wait_q_); }

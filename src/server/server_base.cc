@@ -71,7 +71,7 @@ void Server::enable_overload_control(const policy::overload::OverloadPolicy& p) 
   overload_ = std::make_unique<policy::overload::AdmissionController>(p);
 }
 
-bool Server::offer(Job job) {
+bool Server::offer(const Job& job) {
   ++stats_.offered;
   if (down_) {
     // Crashed: the connection is refused. To the sender this is the same
@@ -91,7 +91,7 @@ bool Server::offer(Job job) {
     job.req->deadline_expired = true;
     trace_instant(job.req, trace::SpanKind::kDeadlineCancel, name_,
                   job.parent_span, sim_.now());
-    auto jr = job_pool().make(std::move(job));
+    auto jr = job_pool().make(job);
     sim_.after(sim::Duration::zero(), [jr] { jr->reply(jr->req); });
     return true;
   }
@@ -119,11 +119,11 @@ bool Server::offer(Job job) {
           note_drop();
           return false;
         }
-        shed_job(std::move(job), /*accepted=*/false, /*detail=*/0);
+        shed_job(job, /*accepted=*/false, /*detail=*/0);
         return true;
     }
   }
-  return do_offer(std::move(job));
+  return do_offer(job);
 }
 
 void Server::set_down(bool down, bool abort_queued_work) {
@@ -131,12 +131,12 @@ void Server::set_down(bool down, bool abort_queued_work) {
   if (down && abort_queued_work) abort_queued();
 }
 
-Server::VisitPtr Server::admit(Job job) {
+Server::VisitPtr Server::admit(const Job& job) {
   ++stats_.accepted;
   ++in_system_;
   VisitPtr v = visit_pool().make();
   v->prog = &programs_[job.req->class_index];
-  v->job = std::move(job);
+  v->job = job;
   v->hop = trace_open(v->job.req, trace::SpanKind::kHop, name_, v->job.parent_span,
                       sim_.now());
   return v;

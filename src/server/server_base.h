@@ -99,7 +99,7 @@ class Server {
   // Attempts to admit one job. Returns false when the packet is dropped
   // (sender will retransmit per its RtoPolicy). Applies the crash gate
   // and deadline cancellation before the model-specific admission.
-  bool offer(Job job);
+  bool offer(const Job& job);
 
   // Wires the downstream hop of the RPC/async chain.
   void connect_downstream(Server* next, net::RtoPolicy rto, net::Link link);
@@ -200,7 +200,7 @@ class Server {
   using VisitPtr = sim::PoolRef<Visit>;
 
   // Model-specific admission (thread pool, lite queue, staged ingress).
-  virtual bool do_offer(Job job) = 0;
+  virtual bool do_offer(const Job& job) = 0;
   // Crash hook: abort_waiting on the model's queue of unstarted work.
   virtual void abort_queued() = 0;
 
@@ -214,8 +214,9 @@ class Server {
   // After the reply: frees the visit's slot.
   virtual void on_finish(const VisitPtr& v) = 0;
 
-  // Counts the admission and opens the visit's hop span.
-  VisitPtr admit(Job job);
+  // Counts the admission and opens the visit's hop span. The visit
+  // holds the request's one copy of the offered job.
+  VisitPtr admit(const Job& job);
   // Runs the program from v->pc: kCpu and kDisk steps, kDownstream via
   // on_downstream (skipped for a brownout-degraded request), then the
   // reply and on_finish.

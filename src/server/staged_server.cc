@@ -15,9 +15,9 @@ StagedServer::StagedServer(sim::Simulation& sim, std::string name, cpu::VmCpu* v
   assert(cfg.ingress.threads > 0 && cfg.continuation.threads > 0);
 }
 
-bool StagedServer::do_offer(Job job) {
+bool StagedServer::do_offer(const Job& job) {
   if (ingress_q_.size() >= cfg_.ingress.queue_cap) return refuse(job);
-  park(ingress_q_, admit(std::move(job)), trace::SpanKind::kPoolQueue, site_ingress_);
+  park(ingress_q_, admit(job), trace::SpanKind::kPoolQueue, site_ingress_);
   pump();
   return true;
 }

@@ -52,7 +52,7 @@ class StagedServer : public Server {
   const StagedConfig& config() const { return cfg_; }
 
  protected:
-  bool do_offer(Job job) override;
+  bool do_offer(const Job& job) override;
   // Crash: the bounded ingress queue is dropped with failure replies;
   // continuation work (already past a downstream round trip) drains.
   void abort_queued() override { abort_waiting(ingress_q_); }

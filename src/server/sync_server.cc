@@ -22,14 +22,14 @@ SyncServer::SyncServer(sim::Simulation& sim, std::string name, cpu::VmCpu* vm,
   arm_gc(sim_, *vm_, cfg_.overhead, [this] { return busy_; });
 }
 
-bool SyncServer::do_offer(Job job) {
+bool SyncServer::do_offer(const Job& job) {
   if (busy_ < threads_) {
-    start(admit(std::move(job)));
+    start(admit(job));
     return true;
   }
   const auto admit_as = accept_q_.try_admit(backlog_q_.size());
   if (admit_as != net::TcpQueue::Admit::kDrop) {
-    VisitPtr v = admit(std::move(job));
+    VisitPtr v = admit(job);
     v->cookie = (admit_as == net::TcpQueue::Admit::kCookie);
     park(backlog_q_, std::move(v), trace::SpanKind::kAcceptQueue, name_);
     check_spawn();
@@ -42,7 +42,7 @@ bool SyncServer::do_offer(Job job) {
     job.req->failed = true;
     trace_instant(job.req, trace::SpanKind::kDrop, name_, job.parent_span,
                   sim_.now(), /*detail=*/2);
-    auto jr = job_pool().make(std::move(job));
+    auto jr = job_pool().make(job);
     sim_.after(sim::Duration::micros(50), [jr] { jr->reply(jr->req); });
     check_spawn();
     return true;

@@ -70,7 +70,7 @@ class SyncServer : public Server {
   const SyncConfig& config() const { return cfg_; }
 
  protected:
-  bool do_offer(Job job) override;
+  bool do_offer(const Job& job) override;
   // Crash: the TCP backlog is lost with the process — every queued-but-
   // unstarted job is answered with a connection-reset failure.
   void abort_queued() override { abort_waiting(backlog_q_); }
