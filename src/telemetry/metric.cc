@@ -36,10 +36,10 @@ void GkQuantile::compress() {
   const std::uint64_t cap = band > 0.0 ? static_cast<std::uint64_t>(band) : 0;
   // Merge tuple i into its right neighbor when the combined coverage
   // stays within the uncertainty budget. Never touch the extremes: they
-  // pin the min/max exactly.
-  std::vector<Tuple> out;
-  out.reserve(tuples_.size());
-  out.push_back(tuples_.front());
+  // pin the min/max exactly. Compacts in place: the kept tuples slide
+  // down to `kept`, which never passes i, so the fold still reads every
+  // tuple (and its right neighbour) before anything overwrites it.
+  std::size_t kept = 1;
   for (std::size_t i = 1; i + 1 < tuples_.size(); ++i) {
     const Tuple& t = tuples_[i];
     const Tuple& next = tuples_[i + 1];
@@ -47,11 +47,11 @@ void GkQuantile::compress() {
       // Fold t into next by carrying its coverage forward.
       tuples_[i + 1].g += t.g;
     } else {
-      out.push_back(t);
+      tuples_[kept++] = t;
     }
   }
-  out.push_back(tuples_.back());
-  tuples_ = std::move(out);
+  tuples_[kept++] = tuples_.back();
+  tuples_.resize(kept);
 }
 
 double GkQuantile::quantile(double q) const {

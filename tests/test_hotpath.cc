@@ -2,7 +2,8 @@
 // inline storage, and the headline zero-allocation guarantee — a warmed
 // closed-loop client/server system executes steady-state events without
 // touching the global allocator, and neither do the policy layer's
-// latency windows (docs/PERFORMANCE.md).
+// latency windows, a warmed shared CPU host, or the latency sketch
+// beyond its growth (docs/PERFORMANCE.md).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "sim/inline_fn.h"
 #include "sim/simulation.h"
 #include "sim/slab_pool.h"
+#include "telemetry/metric.h"
 #include "workload/client.h"
 
 // Global operator new/delete counting hooks. They are process-wide, but
@@ -342,6 +344,77 @@ TEST(HotPath, PolicyWindowsRecordAndDecideWithoutAllocating) {
   EXPECT_GT(sum_us, 0);
   EXPECT_EQ(news() - n0, 0u) << "policy windows allocated";
   EXPECT_EQ(deletes() - d0, 0u) << "policy windows freed";
+}
+
+// One closed-loop CPU job of the shared-host case below: its callback
+// captures a PoolRef to this record, as a server's CPU step captures its
+// visit, and resubmits from inside the completion.
+struct CpuLoop {
+  cpu::VmCpu* vm;
+  sim::Rng* rng;
+  std::uint64_t* done;
+};
+
+void resubmit(const sim::PoolRef<CpuLoop>& j) {
+  ++*j->done;
+  j->vm->submit(Duration::micros(1 + static_cast<std::int64_t>(j->rng->next_u64() % 2000)),
+                [j] { resubmit(j); });
+}
+
+// The CPU model joins the guarantee on a shared host: weights 1 and 20,
+// with 120 jobs on the weight-1 VM and one on the other. Job entries,
+// callback slots, the free-slot list and the completion scratch reach
+// their high-water marks during warm-up; afterwards submits,
+// completions and the re-armed completion event touch no allocator.
+TEST(HotPath, WarmedSharedHostRunsJobsWithoutAllocating) {
+  thread_local sim::SlabPool<CpuLoop> pool;
+  sim::Simulation sim;
+  cpu::HostCpu host(sim, 1.0);
+  cpu::VmCpu* steady = host.add_vm("steady", 2, 1.0);
+  cpu::VmCpu* noisy = host.add_vm("noisy", 1, 20.0);
+  sim::Rng rng(42);
+  std::uint64_t done = 0;
+  for (int i = 0; i < 120; ++i) resubmit(pool.make(CpuLoop{steady, &rng, &done}));
+  resubmit(pool.make(CpuLoop{noisy, &rng, &done}));
+  EXPECT_GT(steady->active_jobs(), 100u);
+
+  sim.run_until(Time::from_seconds(4.0));
+  const std::uint64_t warm_done = done;
+  const std::uint64_t n0 = news();
+  const std::uint64_t d0 = deletes();
+
+  sim.run_until(Time::from_seconds(5.0));
+  const std::uint64_t allocs = news() - n0;
+  const std::uint64_t frees = deletes() - d0;
+
+  EXPECT_GT(done - warm_done, 900u);
+  EXPECT_EQ(steady->active_jobs(), 120u);
+  EXPECT_EQ(allocs, 0u) << "warmed shared host allocated";
+  EXPECT_EQ(frees, 0u) << "warmed shared host freed";
+}
+
+// The run-wide latency sketch records every completion. A warmed
+// GkQuantile compacts in place, so 20k more records allocate only when
+// its tuple vector outgrows its capacity, at most a few geometric steps.
+TEST(HotPath, WarmedQuantileSketchCompactsInPlace) {
+  telemetry::GkQuantile q;
+  sim::Rng rng(5);
+  const auto sample = [&rng] {
+    return static_cast<double>(rng.next_u64() % 10'000) / 10.0;
+  };
+  for (int i = 0; i < 20'000; ++i) q.record(sample());
+  const std::size_t tuples = q.tuple_count();
+  const std::uint64_t n0 = news();
+  const std::uint64_t d0 = deletes();
+
+  for (int i = 0; i < 20'000; ++i) q.record(sample());
+  const std::uint64_t allocs = news() - n0;
+  const std::uint64_t frees = deletes() - d0;
+
+  EXPECT_EQ(q.count(), 40'000u);
+  EXPECT_LE(allocs, 2u) << "sketch allocated beyond its growth (" << tuples << " -> "
+                        << q.tuple_count() << " tuples)";
+  EXPECT_EQ(frees, allocs);
 }
 
 TEST(HotPath, WarmedWheelSchedulesCancelsAndCascadesWithoutAllocating) {
