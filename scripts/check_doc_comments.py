@@ -17,7 +17,7 @@ Enforced rules, per header file:
 
 Usage: scripts/check_doc_comments.py [DIR ...]
 Default audit set: src/sim src/core src/net src/sweep src/graph src/obs
-src/trace src/policy.
+src/trace src/policy src/cpu.
 Exit status 0 when every header passes, 1 otherwise (one line per
 violation: file:line: symbol).
 """
@@ -27,7 +27,7 @@ import re
 import sys
 
 DEFAULT_DIRS = ["src/sim", "src/core", "src/net", "src/sweep", "src/graph",
-                "src/obs", "src/trace", "src/policy"]
+                "src/obs", "src/trace", "src/policy", "src/cpu"]
 
 # Namespace-scope lines that are structure, not symbols to document.
 SKIP_RE = re.compile(

@@ -17,8 +17,13 @@
 
 namespace ntier::cpu {
 
+// Ondemand-style frequency governor over one host: every `interval` it
+// compares the host's utilization with the thresholds and steps the
+// frequency, scaling the host's capacity through set_capacity.
 class DvfsGovernor {
  public:
+  // Frequency range, step and decision rule; frequencies are relative
+  // to the host's nominal capacity.
   struct Config {
     double min_freq = 0.4;   // relative to nominal
     double max_freq = 1.0;
@@ -34,8 +39,10 @@ class DvfsGovernor {
   DvfsGovernor(sim::Simulation& sim, HostCpu& host, Config cfg);
   DvfsGovernor(sim::Simulation& sim, HostCpu& host);
 
+  // Current relative frequency (1.0 = nominal capacity).
   double frequency() const { return freq_; }
 
+  // One governor decision that changed the frequency, and when.
   struct FreqChange {
     sim::Time at;
     double freq;
@@ -62,14 +69,18 @@ class DvfsGovernor {
 // "server frozen for D every P" study.
 class FreezeInjector {
  public:
+  // When the first pause starts, how often pauses repeat, and how long
+  // each one freezes the VM.
   struct Config {
     sim::Time first = sim::Time::from_seconds(10.0);
     sim::Duration period = sim::Duration::seconds(10);
     sim::Duration pause = sim::Duration::millis(400);
   };
 
+  // Arms the first pause at cfg.first; each pause arms the next.
   FreezeInjector(sim::Simulation& sim, VmCpu* vm, Config cfg);
 
+  // Start times of every pause fired so far.
   const std::vector<sim::Time>& pause_times() const { return pauses_; }
 
  private:

@@ -15,16 +15,21 @@
 
 namespace ntier::cpu {
 
+// One FIFO disk: operations queue behind each other and each occupies
+// the device for its service time.
 class IoDevice {
  public:
+  // Bandwidth and per-operation latency of the device.
   struct Config {
     double bytes_per_second = 50.0 * 1024 * 1024;  // sequential bandwidth
     sim::Duration per_op_latency = sim::Duration::micros(100);
   };
 
+  // An idle device named `name` (the default Config without one).
   IoDevice(sim::Simulation& sim, std::string name, Config cfg);
   IoDevice(sim::Simulation& sim, std::string name);
 
+  // The device name the monitors report it under.
   const std::string& name() const { return name_; }
 
   // Submits an operation of `bytes`; `done` fires at completion.
@@ -39,6 +44,7 @@ class IoDevice {
   // reads to get per-window utilization ("I/O wait" in Fig 5(a)).
   double busy_seconds_until(sim::Time t) const;
 
+  // Lifetime totals: operations completed and bytes submitted.
   std::uint64_t ops_completed() const { return ops_completed_; }
   std::uint64_t bytes_written() const { return bytes_total_; }
 

@@ -17,6 +17,8 @@ namespace ntier::cpu {
 
 class VmCpu;
 
+// Per-server overhead parameters: demand inflation and GC pauses, both
+// growing with the number of busy threads. All zero = no overhead.
 struct ThreadOverheadModel {
   // Effective demand multiplier: 1 + alpha_per_thread * busy_threads.
   // alpha ~ 1.3e-3 reproduces the Fig 12 sync collapse.
@@ -28,6 +30,9 @@ struct ThreadOverheadModel {
   sim::Duration gc_base = sim::Duration::zero();
   sim::Duration gc_per_thread = sim::Duration::zero();
 
+  // The demand multiplier at `busy_threads`; inflate() applies it to a
+  // demand (unchanged when alpha is 0), and gc_pause() is the pause
+  // length at that thread count.
   double inflation(std::size_t busy_threads) const {
     return 1.0 + alpha_per_thread * static_cast<double>(busy_threads);
   }
